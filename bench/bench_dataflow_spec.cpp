@@ -9,7 +9,7 @@
 // flat arena round-robin sweeps — the two backends every production
 // run compares byte for byte — across program sizes, plus the
 // end-to-end differential run (universe construction + both solves +
-// identity check) and the sharded/compressed strategy points.
+// identity check).
 //
 //===----------------------------------------------------------------------===//
 
@@ -77,20 +77,6 @@ void BM_SpecDifferential(benchmark::State &State) {
   State.counters["nodes"] = B.G.size();
 }
 
-/// Strategy points on the widest builtin universe (defs): serial,
-/// sharded, compressed, both.
-void BM_SpecArenaStrategies(benchmark::State &State) {
-  Built B = buildRandom(3, 400);
-  CompiledAnalysis C = compileBuiltin(B, 3); // reaching over defs
-  unsigned Shards = static_cast<unsigned>(State.range(0));
-  bool Compress = State.range(1) != 0;
-  for (auto _ : State) {
-    ArenaSpecResult R = runAnalysisArena(C, B.Ifg, Shards, Compress);
-    benchmark::DoNotOptimize(R.Sweeps);
-  }
-  setSpecCounters(State, B, C);
-}
-
 void forEachBuiltinAndSize(benchmark::internal::Benchmark *Bench) {
   for (unsigned Builtin = 0; Builtin != 4; ++Builtin)
     for (unsigned Stmts : {100u, 400u, 1600u})
@@ -102,11 +88,6 @@ void forEachBuiltinAndSize(benchmark::internal::Benchmark *Bench) {
 BENCHMARK(BM_SpecIterative)->Apply(forEachBuiltinAndSize);
 BENCHMARK(BM_SpecArena)->Apply(forEachBuiltinAndSize);
 BENCHMARK(BM_SpecDifferential)->Apply(forEachBuiltinAndSize);
-BENCHMARK(BM_SpecArenaStrategies)
-    ->Args({0, 0})
-    ->Args({7, 0})
-    ->Args({0, 1})
-    ->Args({7, 1});
 
 int main(int argc, char **argv) {
   return gnt::bench::runBenchmarksWithTrajectory(argc, argv,

@@ -137,14 +137,14 @@ void BM_IntervalBuild(benchmark::State &State) {
 BENCHMARK(BM_IntervalBuild)->Arg(100)->Arg(400)->Arg(1600);
 
 //===----------------------------------------------------------------------===//
-// Wide-universe sweeps: arena vs classic evaluator, and item sharding
+// Wide-universe sweeps: arena vs classic evaluator
 //===----------------------------------------------------------------------===//
 //
 // The communication problems of generated programs have universes of at
 // most a few hundred items, too narrow to expose per-word costs. These
 // sweeps keep the graph fixed and synthesize problems with universes up
 // to 16k items (256 words per set), the regime the DataflowMatrix arena
-// and --solver-shards target.
+// targets.
 
 /// A seeded problem with \p Universe items over \p B's graph: every
 /// node takes/gives/steals a sparse random selection.
@@ -192,155 +192,6 @@ void BM_ClassicSolveWide(benchmark::State &State) {
 }
 BENCHMARK(BM_ClassicSolveWide)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
-/// Universe size x shard count. Shards=1 goes through the serial arena
-/// path, so the sharding overhead (thread pool spin-up plus each
-/// worker's own graph walk over its word window) reads off the table
-/// directly; results are byte-identical at every point.
-void BM_ShardedSolve(benchmark::State &State) {
-  unsigned Universe = static_cast<unsigned>(State.range(0));
-  unsigned Shards = static_cast<unsigned>(State.range(1));
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticProblem(B, Universe, 99);
-  for (auto _ : State) {
-    GntResult R = solveGiveNTakeSharded(B.Ifg, P, Shards);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-  State.counters["shards"] = Shards;
-}
-BENCHMARK(BM_ShardedSolve)
-    ->ArgsProduct({{1024, 4096, 16384}, {1, 2, 4, 8}});
-
-//===----------------------------------------------------------------------===//
-// Universe-compression families: duplicate-heavy and incompressible
-//===----------------------------------------------------------------------===//
-//
-// The compressed solver's contract has two sides to measure: the win on
-// universes full of repeated columns (the Section 2 array-section
-// regime — one distinct access pattern stamped across many items), and
-// the ceiling on universes where every column is distinct and the
-// profitability gate must fall back to the plain solve after paying
-// only the O(set bits) partition sweep.
-
-/// The Section 2 array-section regime: of the whole universe only the
-/// leading 1/8 is ever referenced, and those referenced items are 8
-/// copies each of Universe/64 distinct access patterns (pattern i is
-/// deterministically taken at node (i/64)%N and given at node i%N,
-/// plus a little random noise, so patterns are nonempty and pairwise
-/// distinct). Compression therefore sees exactly 8-fold duplication
-/// among the live columns and elides the untouched 7/8 outright.
-GntProblem syntheticDuplicateProblem(const Built &B, unsigned Universe,
-                                     unsigned Seed) {
-  unsigned Referenced = Universe / 8;
-  unsigned Distinct = Referenced / 8;
-  unsigned N = B.Ifg.size();
-  std::mt19937 Rng(Seed);
-  GntProblem Base(N, Distinct);
-  for (unsigned Item = 0; Item != Distinct; ++Item) {
-    Base.GiveInit[Item % N].set(Item);
-    Base.TakeInit[(Item / 64) % N].set(Item);
-  }
-  for (unsigned Node = 0; Node != N; ++Node) {
-    Base.TakeInit[Node].set(Rng() % Distinct);
-    if (Rng() % 2)
-      Base.StealInit[Node].set(Rng() % Distinct);
-  }
-  GntProblem P(N, Universe);
-  for (unsigned Node = 0; Node != N; ++Node) {
-    auto Stamp = [&](const BitVector &From, BitVector &To) {
-      for (unsigned Item : From)
-        for (unsigned Copy = Item; Copy < Referenced; Copy += Distinct)
-          To.set(Copy);
-    };
-    Stamp(Base.TakeInit[Node], P.TakeInit[Node]);
-    Stamp(Base.GiveInit[Node], P.GiveInit[Node]);
-    Stamp(Base.StealInit[Node], P.StealInit[Node]);
-  }
-  return P;
-}
-
-/// A universe where every item's column is unique: item i is taken at
-/// node i%N and given at node (i/N)%N, so no two items share a column
-/// and no item is empty — zero classes merge, zero items elide.
-GntProblem syntheticIncompressibleProblem(const Built &B, unsigned Universe) {
-  unsigned N = B.Ifg.size();
-  GntProblem P(N, Universe);
-  for (unsigned Item = 0; Item != Universe; ++Item) {
-    P.TakeInit[Item % N].set(Item);
-    P.GiveInit[(Item / N) % N].set(Item);
-  }
-  return P;
-}
-
-void BM_ArenaSolveDuplicate(benchmark::State &State) {
-  unsigned Universe = static_cast<unsigned>(State.range(0));
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticDuplicateProblem(B, Universe, 99);
-  for (auto _ : State) {
-    GntResult R = solveGiveNTake(B.Ifg, P);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-}
-BENCHMARK(BM_ArenaSolveDuplicate)->Arg(8192)->Arg(16384);
-
-/// The headline: >= 1.5x over BM_ArenaSolveDuplicate at the same width
-/// is the acceptance bar for the compression layer. The full solver
-/// does equation work on every word of the universe whether or not any
-/// item in it was ever referenced; the compressed solve runs the
-/// equations over one bit per distinct pattern and reconstructs the
-/// full-width matrix with a compiled whole-word expansion program —
-/// copies for the duplicated blocks, memsets for the elided 7/8 — so
-/// its cost approaches the arena's plain write floor. Partition +
-/// expansion are the overhead being amortized.
-void BM_CompressedSolveDuplicate(benchmark::State &State) {
-  unsigned Universe = static_cast<unsigned>(State.range(0));
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticDuplicateProblem(B, Universe, 99);
-  double Ratio = 1.0;
-  for (auto _ : State) {
-    GntResult R = solveGiveNTakeCompressed(B.Ifg, P);
-    benchmark::DoNotOptimize(R.Take.size());
-    Ratio = R.Compression.Universe
-                ? static_cast<double>(R.Compression.Classes) /
-                      R.Compression.Universe
-                : 1.0;
-  }
-  State.counters["items"] = Universe;
-  State.counters["ratio"] = Ratio;
-}
-BENCHMARK(BM_CompressedSolveDuplicate)->Arg(8192)->Arg(16384);
-
-void BM_ArenaSolveIncompressible(benchmark::State &State) {
-  unsigned Universe = static_cast<unsigned>(State.range(0));
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticIncompressibleProblem(B, Universe);
-  for (auto _ : State) {
-    GntResult R = solveGiveNTake(B.Ifg, P);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-}
-BENCHMARK(BM_ArenaSolveIncompressible)->Arg(8192)->Arg(16384);
-
-/// The overhead ceiling: every column is unique, the profitability gate
-/// rejects compression, and this must stay within 5% of
-/// BM_ArenaSolveIncompressible. The cost of finding out is a partial
-/// partition sweep: the live class count is monotone under refinement,
-/// so the sweep aborts the moment it proves the count will end above
-/// the profitability threshold.
-void BM_CompressedSolveIncompressible(benchmark::State &State) {
-  unsigned Universe = static_cast<unsigned>(State.range(0));
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticIncompressibleProblem(B, Universe);
-  for (auto _ : State) {
-    GntResult R = solveGiveNTakeCompressed(B.Ifg, P);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-}
-BENCHMARK(BM_CompressedSolveIncompressible)->Arg(8192)->Arg(16384);
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -350,8 +201,8 @@ BENCHMARK(BM_CompressedSolveIncompressible)->Arg(8192)->Arg(16384);
 // The solver's sweeps are pure word-streaming bit algebra, so past a
 // few thousand items they are bandwidth problems, not ALU problems.
 // This section measures, per registered kernel variant (scalar and
-// whatever SIMD the machine has), the Wide and Duplicate families at
-// 8192/16384 items, reporting:
+// whatever SIMD the machine has), the Wide family at 8192/16384 items,
+// reporting:
 //
 //   bytes_touched   first-order traffic model of one solve (below)
 //   cycles          TSC cycles per solve (x86; 0 where unavailable)
@@ -414,13 +265,12 @@ double memcpyCeilingGbps() {
   return Ceiling;
 }
 
-/// One roofline cell: family x items under a forced kernel variant.
+/// One roofline cell: items under a forced kernel variant.
 void rooflineBody(benchmark::State &State, const SolverKernels &K,
-                  bool Duplicate, unsigned Universe) {
+                  unsigned Universe) {
   detail::ScopedKernelOverride Force(K);
   Built B = buildRandom(5, 400);
-  GntProblem P = Duplicate ? syntheticDuplicateProblem(B, Universe, 99)
-                           : syntheticProblem(B, Universe, 99);
+  GntProblem P = syntheticProblem(B, Universe, 99);
   const double Bytes = solveBytesTouched(B.Ifg, Universe);
   std::uint64_t Cycles = 0;
   for (auto _ : State) {
@@ -446,47 +296,15 @@ void rooflineBody(benchmark::State &State, const SolverKernels &K,
 /// BM_KernelRoofline rows of BENCH_solver.json.
 void registerRooflineBenchmarks() {
   for (const SolverKernels *K : availableSolverKernels())
-    for (bool Duplicate : {false, true})
-      for (unsigned Universe : {8192u, 16384u}) {
-        std::string Name = std::string("BM_KernelRoofline/") + K->Name +
-                           (Duplicate ? "/duplicate/" : "/wide/") +
-                           std::to_string(Universe);
-        benchmark::RegisterBenchmark(
-            Name.c_str(), [K, Duplicate, Universe](benchmark::State &S) {
-              rooflineBody(S, *K, Duplicate, Universe);
-            });
-      }
+    for (unsigned Universe : {8192u, 16384u}) {
+      std::string Name = std::string("BM_KernelRoofline/") + K->Name +
+                         "/wide/" + std::to_string(Universe);
+      benchmark::RegisterBenchmark(
+          Name.c_str(), [K, Universe](benchmark::State &S) {
+            rooflineBody(S, *K, Universe);
+          });
+    }
 }
-
-//===----------------------------------------------------------------------===//
-// Static windows vs work stealing on a skewed expansion
-//===----------------------------------------------------------------------===//
-//
-// The duplicate family's compressed solve ends in a row-expansion pass
-// whose per-row cost is skewed by construction: rows of nodes that
-// never touch an item are a single memset, rows dense in segments pay
-// the full word program. Static word-windows assign each worker a fixed
-// row block regardless of that skew; the stealing scheduler oversplits
-// and lets idle workers raid loaded deques. On a multi-core machine
-// steal >= static here; on a single-core machine both degrade to the
-// same serial loop (the delta reads off the two rows of the JSON).
-
-void BM_CompressedExpandSchedule(benchmark::State &State) {
-  const bool Steal = State.range(0) != 0;
-  const unsigned Universe = 16384;
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticDuplicateProblem(B, Universe, 99);
-  GntShardPolicy Policy;
-  Policy.WorkStealing = Steal;
-  for (auto _ : State) {
-    GntResult R = solveGiveNTakeCompressed(B.Ifg, P, /*Shards=*/4, &Policy);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-  State.counters["steal"] = Steal ? 1 : 0;
-  State.counters["shards"] = 4;
-}
-BENCHMARK(BM_CompressedExpandSchedule)->Arg(0)->Arg(1);
 
 } // namespace
 

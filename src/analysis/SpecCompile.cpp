@@ -10,11 +10,9 @@
 #include "comm/RefAnalysis.h"
 #include "pre/ExprPre.h"
 #include "support/Hashing.h"
-#include "support/ItemClasses.h"
 #include "support/Json.h"
 #include "support/SimdKernels.h"
 #include "support/Support.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 
@@ -209,19 +207,17 @@ std::vector<NodeId> sweepOrder(const CompiledAnalysis &C,
 }
 
 /// Solves \p C into \p In / \p Out (already initialized and
-/// boundary-pinned), sweeping only the word window [\p Lo, \p Hi).
-/// Lanes are independent in a pure gen/kill problem, so a window
-/// reaches its fixed point without ever reading outside itself.
-unsigned sweepWindow(const CompiledAnalysis &C,
-                     const std::vector<std::vector<NodeId>> &Preds,
-                     const std::vector<NodeId> &Order,
-                     const DataflowMatrix &GenM, const DataflowMatrix &KillM,
-                     DataflowMatrix &In, DataflowMatrix &Out, unsigned Lo,
-                     unsigned Hi) {
-  if (Lo >= Hi)
+/// boundary-pinned) by round-robin sweeps; returns the sweep count.
+unsigned sweepToFixedPoint(const CompiledAnalysis &C,
+                           const std::vector<std::vector<NodeId>> &Preds,
+                           const std::vector<NodeId> &Order,
+                           const DataflowMatrix &GenM,
+                           const DataflowMatrix &KillM, DataflowMatrix &In,
+                           DataflowMatrix &Out) {
+  const unsigned W = In.wordsPerRow();
+  if (W == 0)
     return 0;
   const bool AllMeet = C.Meet == Confluence::All;
-  const unsigned W = Hi - Lo;
   const SolverKernels &SK = solverKernels();
   std::vector<Word> Tmp(W);
   unsigned Sweeps = 0;
@@ -233,29 +229,30 @@ unsigned sweepWindow(const CompiledAnalysis &C,
       const std::vector<NodeId> &P = Preds[Node];
       if (P.empty())
         continue; // Pinned to the boundary value.
-      SK.RowCopy(Tmp.data(), Out.row(P[0]) + Lo, W);
+      SK.RowCopy(Tmp.data(), Out.row(P[0]), W);
       for (size_t K = 1; K != P.size(); ++K) {
-        const Word *PR = Out.row(P[K]) + Lo;
+        const Word *PR = Out.row(P[K]);
         if (AllMeet)
           SK.RowAnd(Tmp.data(), PR, W);
         else
           SK.RowOr(Tmp.data(), PR, W);
       }
-      SK.RowCopy(In.row(Node) + Lo, Tmp.data(), W);
+      SK.RowCopy(In.row(Node), Tmp.data(), W);
       // The kernel stores the (possibly identical) value back
       // unconditionally and reports the XOR of old and new; the sweep
       // only needs to know whether *anything* moved.
-      Word Diff = SK.FuseTransfer(W, Out.row(Node) + Lo, Tmp.data(),
-                                  GenM.row(Node) + Lo, KillM.row(Node) + Lo);
+      Word Diff = SK.FuseTransfer(W, Out.row(Node), Tmp.data(),
+                                  GenM.row(Node), KillM.row(Node));
       Changed |= Diff != 0;
     }
   }
   return Sweeps;
 }
 
-/// The uncompressed arena solve (sharding only).
-ArenaSpecResult solveArena(const CompiledAnalysis &C,
-                           const IntervalFlowGraph &Ifg, unsigned Shards) {
+} // namespace
+
+ArenaSpecResult gnt::runAnalysisArena(const CompiledAnalysis &C,
+                                      const IntervalFlowGraph &Ifg) {
   const unsigned N = C.NumNodes, U = C.UniverseSize;
   ArenaSpecResult R;
   R.In = DataflowMatrix(N, U);
@@ -287,110 +284,7 @@ ArenaSpecResult solveArena(const CompiledAnalysis &C,
                           GenM.row(Node), KillM.row(Node));
   }
 
-  const unsigned S =
-      Shards <= 1 ? 1 : std::min(Shards, std::max(WPR, 1u));
-  R.ShardsUsed = S;
-  if (S <= 1) {
-    R.Sweeps = sweepWindow(C, Preds, Order, GenM, KillM, R.In, R.Out, 0, WPR);
-    return R;
-  }
-  std::vector<unsigned> ShardSweeps(S, 0);
-  ThreadPool Pool(S);
-  for (unsigned I = 0; I != S; ++I)
-    Pool.submit([&, I] {
-      unsigned Lo = static_cast<unsigned>(
-          static_cast<uint64_t>(WPR) * I / S);
-      unsigned Hi = static_cast<unsigned>(
-          static_cast<uint64_t>(WPR) * (I + 1) / S);
-      ShardSweeps[I] =
-          sweepWindow(C, Preds, Order, GenM, KillM, R.In, R.Out, Lo, Hi);
-    });
-  Pool.wait();
-  R.Sweeps = *std::max_element(ShardSweeps.begin(), ShardSweeps.end());
-  return R;
-}
-
-} // namespace
-
-ArenaSpecResult gnt::runAnalysisArena(const CompiledAnalysis &C,
-                                      const IntervalFlowGraph &Ifg,
-                                      unsigned Shards, bool Compress) {
-  const unsigned U = C.UniverseSize;
-  if (!Compress || U == 0)
-    return solveArena(C, Ifg, Shards);
-
-  std::vector<BitVector> BoundaryRow{C.Boundary};
-  ItemClasses Classes = computeItemClasses(U, C.Gen, C.Kill, BoundaryRow);
-  const unsigned Phantom = Classes.Elided ? 1u : 0u;
-  const unsigned CU = Classes.NumClasses + Phantom;
-  if (Classes.Aborted || CU >= U)
-    return solveArena(C, Ifg, Shards); // Nothing to gain; solve plain.
-
-  // Compressed problem: one lane per class, columns read off the class
-  // representatives, plus (when items were elided) the phantom lane
-  // with empty gen/kill/boundary that tracks where top survives under
-  // All confluence.
-  CompiledAnalysis CC;
-  CC.Name = C.Name;
-  CC.Universe = C.Universe;
-  CC.Direction = C.Direction;
-  CC.Meet = C.Meet;
-  CC.IncludeSyntheticEdges = C.IncludeSyntheticEdges;
-  CC.NumNodes = C.NumNodes;
-  CC.UniverseSize = CU;
-  CC.Gen.assign(C.NumNodes, BitVector(CU));
-  CC.Kill.assign(C.NumNodes, BitVector(CU));
-  CC.Boundary = BitVector(CU);
-  for (unsigned Cls = 0; Cls != Classes.NumClasses; ++Cls) {
-    unsigned Rep = Classes.Representative[Cls];
-    if (C.Boundary.test(Rep))
-      CC.Boundary.set(Cls);
-    for (NodeId Node = 0; Node != C.NumNodes; ++Node) {
-      if (C.Gen[Node].test(Rep))
-        CC.Gen[Node].set(Cls);
-      if (C.Kill[Node].test(Rep))
-        CC.Kill[Node].set(Cls);
-    }
-  }
-
-  ArenaSpecResult Sub = solveArena(CC, Ifg, Shards);
-
-  ArenaSpecResult R;
-  R.Sweeps = Sub.Sweeps;
-  R.ShardsUsed = Sub.ShardsUsed;
-  R.CompressionApplied = true;
-  R.CompressedClasses = CU;
-  R.ElidedItems = Classes.Elided;
-  R.In = DataflowMatrix(C.NumNodes, U, DataflowMatrix::Uninit);
-  R.Out = DataflowMatrix(C.NumNodes, U, DataflowMatrix::Uninit);
-
-  BitVector ElidedMask(U);
-  for (unsigned Item = 0; Item != U; ++Item)
-    if (Classes.ClassOf[Item] == ItemClasses::Bottom)
-      ElidedMask.set(Item);
-
-  std::vector<ExpandSeg> Plan = buildExpandPlan(Classes);
-  const unsigned WPR = R.In.wordsPerRow();
-  const unsigned SubWPR = Sub.In.wordsPerRow();
-  const unsigned PhantomBit = Classes.NumClasses;
-  auto Expand = [&](const DataflowMatrix &Src, DataflowMatrix &Dst,
-                    NodeId Node) {
-    const Word *SrcRow = Src.row(Node);
-    Word *DstRow = Dst.row(Node);
-    expandRow(DstRow, WPR, SrcRow, SubWPR, Plan);
-    if (Phantom &&
-        ((SrcRow[PhantomBit / BitVector::WordBits] >>
-          (PhantomBit % BitVector::WordBits)) &
-         1)) {
-      const Word *M = ElidedMask.words();
-      for (unsigned W = 0; W != WPR; ++W)
-        DstRow[W] |= M[W];
-    }
-  };
-  for (NodeId Node = 0; Node != C.NumNodes; ++Node) {
-    Expand(Sub.In, R.In, Node);
-    Expand(Sub.Out, R.Out, Node);
-  }
+  R.Sweeps = sweepToFixedPoint(C, Preds, Order, GenM, KillM, R.In, R.Out);
   return R;
 }
 
@@ -399,8 +293,7 @@ ArenaSpecResult gnt::runAnalysisArena(const CompiledAnalysis &C,
 //===----------------------------------------------------------------------===//
 
 AnalysisRun gnt::runAnalysis(const CompiledAnalysis &C,
-                             const IntervalFlowGraph &Ifg, unsigned Shards,
-                             bool Compress) {
+                             const IntervalFlowGraph &Ifg) {
   AnalysisRun R;
   R.Name = C.Name;
   R.Universe = C.Universe;
@@ -408,13 +301,9 @@ AnalysisRun gnt::runAnalysis(const CompiledAnalysis &C,
   R.ItemNames = C.ItemNames;
 
   DataflowResult Oracle = runAnalysisIterative(C, Ifg);
-  ArenaSpecResult Arena = runAnalysisArena(C, Ifg, Shards, Compress);
+  ArenaSpecResult Arena = runAnalysisArena(C, Ifg);
   R.Stats.Iterative = Oracle.Stats;
   R.Stats.ArenaSweeps = Arena.Sweeps;
-  R.Stats.ShardsUsed = Arena.ShardsUsed;
-  R.Stats.CompressionApplied = Arena.CompressionApplied;
-  R.Stats.CompressedClasses = Arena.CompressedClasses;
-  R.Stats.ElidedItems = Arena.ElidedItems;
 
   // Mandatory per-node byte-identity differential: the arena values
   // ship, but only after the independent oracle agrees bit for bit.
@@ -445,8 +334,8 @@ AnalysisRun gnt::runAnalysis(const CompiledAnalysis &C,
     D.Message = "analysis '" + C.Name +
                 "': iterative and arena fixed points disagree (" + Side +
                 " side)";
-    D.FixHint = "the two backends must agree byte for byte in every "
-                "configuration; this is a solver bug, not a spec bug";
+    D.FixHint = "the two backends must agree byte for byte; this is a "
+                "solver bug, not a spec bug";
     R.Diags.add(D);
   };
 
@@ -564,10 +453,6 @@ std::string AnalysisRun::renderJson(bool IncludeStats) const {
     W.key("edge_evaluations").value(Stats.Iterative.EdgeEvaluations);
     W.key("worklist_peak").value(Stats.Iterative.WorklistPeak);
     W.key("arena_sweeps").value(Stats.ArenaSweeps);
-    W.key("shards").value(Stats.ShardsUsed);
-    W.key("compression_applied").value(Stats.CompressionApplied);
-    W.key("compressed_classes").value(Stats.CompressedClasses);
-    W.key("elided_items").value(Stats.ElidedItems);
     W.endObject();
   }
   W.beginArray("diagnostics");
@@ -584,8 +469,7 @@ std::string AnalysisRun::renderJson(bool IncludeStats) const {
 
 AnalysisRun gnt::runAnalysisSpec(const std::string &NameOrText,
                                  const Program &P, const Cfg &G,
-                                 const IntervalFlowGraph &Ifg, unsigned Shards,
-                                 bool Compress) {
+                                 const IntervalFlowGraph &Ifg) {
   std::string Text = NameOrText;
   const bool LooksLikeName = NameOrText.find('\n') == std::string::npos &&
                              NameOrText.find(' ') == std::string::npos;
@@ -623,7 +507,7 @@ AnalysisRun gnt::runAnalysisSpec(const std::string &NameOrText,
 
   SpecUniverseData Data = buildSpecUniverse(PR.Spec->Universe, P, G, Ifg);
   CompiledAnalysis C = compileAnalysisSpec(*PR.Spec, Data, Ifg.size());
-  AnalysisRun R = runAnalysis(C, Ifg, Shards, Compress);
+  AnalysisRun R = runAnalysis(C, Ifg);
   R.Diags.append(PR.Diags); // Carry parser/linter warnings through.
   return R;
 }

@@ -28,18 +28,10 @@
 ///
 /// Every run is differential by construction: the iterative worklist
 /// engine (analysis/DataflowEngine.h) solves the problem as the oracle,
-/// the flat DataflowMatrix arena sweeps solve it again — optionally
-/// sharded across word-aligned universe windows and optionally over the
-/// ItemClasses-compressed universe — and runAnalysis() demands per-node
-/// byte identity of both fixed points, reporting any divergence as
-/// CheckId::Diff diagnostics. The arena values are the ones shipped.
-///
-/// Compressed solves append one *phantom class* when items were elided:
-/// elided items (all-zero gen/kill/boundary columns) are not constant
-/// under All confluence — they stay top at nodes unreachable from the
-/// boundary — so a single extra lane with empty gen/kill/boundary
-/// tracks exactly where top survives, and expansion ORs the elided
-/// items back in wherever the phantom lane is set.
+/// the flat DataflowMatrix arena sweeps solve it again, and
+/// runAnalysis() demands per-node byte identity of both fixed points,
+/// reporting any divergence as CheckId::Diff diagnostics. The arena
+/// values are the ones shipped.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,7 +96,7 @@ CompiledAnalysis compileAnalysisSpec(const AnalysisSpec &Spec,
                                      unsigned NumNodes);
 
 /// Solves \p C on the iterative worklist engine — the differential
-/// oracle. Always uncompressed, always unsharded.
+/// oracle.
 DataflowResult runAnalysisIterative(const CompiledAnalysis &C,
                                     const IntervalFlowGraph &Ifg);
 
@@ -112,32 +104,18 @@ DataflowResult runAnalysisIterative(const CompiledAnalysis &C,
 struct ArenaSpecResult {
   DataflowMatrix In;  ///< Per-node meet input (flow orientation).
   DataflowMatrix Out; ///< Per-node transfer output.
-  unsigned Sweeps = 0;             ///< Max sweeps over any shard.
-  unsigned ShardsUsed = 0;         ///< Actual shard count after clamping.
-  bool CompressionApplied = false; ///< Solved over item classes.
-  unsigned CompressedClasses = 0;  ///< Classes when compression applied.
-  unsigned ElidedItems = 0;        ///< Trivially-bottom items elided.
+  unsigned Sweeps = 0; ///< Round-robin sweeps until the fixed point.
 };
 
 /// Solves \p C with flat round-robin word sweeps over a DataflowMatrix
-/// arena. \p Shards > 1 splits the universe into that many word-aligned
-/// windows swept independently (lanes are independent in a pure
-/// gen/kill problem); \p Compress solves over the ItemClasses partition
-/// of (Gen, Kill, Boundary) columns when profitable, expanding the
-/// result back to the full universe. Both are strategy knobs only: the
-/// fixed point is byte-identical in every configuration.
+/// arena.
 ArenaSpecResult runAnalysisArena(const CompiledAnalysis &C,
-                                 const IntervalFlowGraph &Ifg,
-                                 unsigned Shards = 0, bool Compress = false);
+                                 const IntervalFlowGraph &Ifg);
 
 /// Statistics of one differential run.
 struct AnalysisRunStats {
-  DataflowStats Iterative;         ///< Oracle convergence statistics.
+  DataflowStats Iterative; ///< Oracle convergence statistics.
   unsigned ArenaSweeps = 0;
-  unsigned ShardsUsed = 0;
-  bool CompressionApplied = false;
-  unsigned CompressedClasses = 0;
-  unsigned ElidedItems = 0;
 };
 
 /// A completed (or failed) user analysis: the arena solution, the
@@ -175,16 +153,14 @@ struct AnalysisRun {
 /// Runs \p C on both backends, checks per-node byte identity, and
 /// returns the arena solution with the differential verdict.
 AnalysisRun runAnalysis(const CompiledAnalysis &C,
-                        const IntervalFlowGraph &Ifg, unsigned Shards = 0,
-                        bool Compress = false);
+                        const IntervalFlowGraph &Ifg);
 
 /// End-to-end convenience: \p NameOrText is a builtin name (single
 /// token: no newline, no space) or a full spec text. Parses, lints,
 /// builds the universe, compiles, and runs differentially; failures of
 /// any stage come back as an AnalysisRun holding only diagnostics.
 AnalysisRun runAnalysisSpec(const std::string &NameOrText, const Program &P,
-                            const Cfg &G, const IntervalFlowGraph &Ifg,
-                            unsigned Shards = 0, bool Compress = false);
+                            const Cfg &G, const IntervalFlowGraph &Ifg);
 
 } // namespace gnt
 

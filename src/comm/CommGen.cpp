@@ -207,8 +207,8 @@ void gnt::emitCommPhase(CommPlan &Plan, const Cfg &G,
 
 CommPlan gnt::generateComm(const Program &P, const Cfg &G,
                            const IntervalFlowGraph &Ifg,
-                           const CommOptions &Opts, unsigned SolverShards,
-                           bool CompressUniverse, GntIncrementalContext *Inc) {
+                           const CommOptions &Opts,
+                           GntIncrementalContext *Inc) {
   CommPlan Plan;
   Plan.Opts = Opts;
   Plan.Refs = analyzeReferences(P, G);
@@ -217,18 +217,14 @@ CommPlan gnt::generateComm(const Program &P, const Cfg &G,
 
   if (Opts.GenerateReads)
     Plan.ReadRun =
-        Inc ? runGiveNTakeIncremental(Ifg, Plan.ReadProblem, SolverShards,
-                                      CompressUniverse, Inc->Read,
+        Inc ? runGiveNTakeIncremental(Ifg, Plan.ReadProblem, Inc->Read,
                                       Inc->Stats)
-            : runGiveNTake(Ifg, Plan.ReadProblem, SolverShards,
-                           CompressUniverse);
+            : runGiveNTake(Ifg, Plan.ReadProblem);
   if (Opts.GenerateWrites && !Opts.OwnerComputes)
     Plan.WriteRun =
-        Inc ? runGiveNTakeIncremental(Ifg, Plan.WriteProblem, SolverShards,
-                                      CompressUniverse, Inc->Write,
+        Inc ? runGiveNTakeIncremental(Ifg, Plan.WriteProblem, Inc->Write,
                                       Inc->Stats)
-            : runGiveNTake(Ifg, Plan.WriteProblem, SolverShards,
-                           CompressUniverse);
+            : runGiveNTake(Ifg, Plan.WriteProblem);
 
   // Assemble the anchored operation lists. Two phases: at any one program
   // point every write-back precedes every read (the owners must be

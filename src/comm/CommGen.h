@@ -121,20 +121,13 @@ struct CommPlan {
 
 /// Analyzes \p P and computes the full communication plan. \p G and
 /// \p Ifg must come from buildCfg / IntervalFlowGraph::build on \p P.
-/// \p SolverShards > 1 solves each GIVE-N-TAKE problem with its item
-/// universe split into that many word-aligned shards;
-/// \p CompressUniverse solves over item equivalence classes instead of
-/// the full universe. By the invariance contracts (see
-/// dataflow/GiveNTake.h) the plan is byte-identical for every
-/// combination of the two knobs. \p Inc, when set, routes the READ and
-/// WRITE solves through runGiveNTakeIncremental with the context's
-/// Read/Write memo slots (dataflow/Incremental.h) — a third strategy
-/// knob with the same byte-identity contract.
+/// \p Inc, when set, routes the READ and WRITE solves through
+/// runGiveNTakeIncremental with the context's Read/Write memo slots
+/// (dataflow/Incremental.h), whose results are byte-identical to a
+/// cold solve by contract.
 CommPlan generateComm(const Program &P, const Cfg &G,
                       const IntervalFlowGraph &Ifg,
                       const CommOptions &Opts = {},
-                      unsigned SolverShards = 0,
-                      bool CompressUniverse = false,
                       GntIncrementalContext *Inc = nullptr);
 
 /// Builds the READ (Before) and WRITE (After) problem inputs from the

@@ -179,11 +179,8 @@ double gnt::expectedMessageCost(const Program &P, const CommPlan &Plan,
 CommPlan gnt::generateSpeculativeComm(const Program &P, const Cfg &G,
                                       const IntervalFlowGraph &Ifg,
                                       const CommOptions &Opts,
-                                      const ExecProfile &Prof,
-                                      unsigned SolverShards,
-                                      bool CompressUniverse) {
-  CommPlan Balanced =
-      generateComm(P, G, Ifg, Opts, SolverShards, CompressUniverse);
+                                      const ExecProfile &Prof) {
+  CommPlan Balanced = generateComm(P, G, Ifg, Opts);
   if (Prof.empty() || !Opts.GenerateReads || !Balanced.ReadRun)
     return Balanced;
 
@@ -244,7 +241,7 @@ CommPlan gnt::generateSpeculativeComm(const Program &P, const Cfg &G,
   // reference events (and the plan's C3 obligations) are a property of
   // the program, not of the speculation; the augmented problem lives in
   // the run's OrientedProblem, which is what the auditor re-checks.
-  GntRun SpecRun = runGiveNTake(Ifg, Aug, SolverShards, CompressUniverse);
+  GntRun SpecRun = runGiveNTake(Ifg, Aug);
   CommPlan Spec;
   Spec.Opts = Balanced.Opts;
   Spec.Refs = Balanced.Refs;
@@ -271,8 +268,7 @@ CommPlan gnt::generateSpeculativeComm(const Program &P, const Cfg &G,
 
 CommPlan gnt::losprePlacement(const Program &P, const Cfg &G,
                               const IntervalFlowGraph &Ifg,
-                              const CommOptions &Opts, unsigned SolverShards,
-                              bool CompressUniverse) {
+                              const CommOptions &Opts) {
   CommPlan Plan;
   Plan.Opts = Opts;
   Plan.Refs = analyzeReferences(P, G);
@@ -283,8 +279,7 @@ CommPlan gnt::losprePlacement(const Program &P, const Cfg &G,
   // is a READ placement formulation); the write phase is emitted first
   // so write-backs precede reads at shared anchors.
   if (Opts.GenerateWrites && !Opts.OwnerComputes) {
-    Plan.WriteRun =
-        runGiveNTake(Ifg, Plan.WriteProblem, SolverShards, CompressUniverse);
+    Plan.WriteRun = runGiveNTake(Ifg, Plan.WriteProblem);
     emitCommPhase(Plan, G, Ifg, *Plan.WriteRun, Urgency::Lazy,
                   CommOpKind::WriteSend, CommOpKind::WriteRecv,
                   CommOpKind::AtomicWrite, Opts.Atomic);
@@ -316,17 +311,14 @@ CommPlan gnt::generateStrategyComm(PlacementStrategy S, const Program &P,
                                    const Cfg &G,
                                    const IntervalFlowGraph &Ifg,
                                    const CommOptions &Opts,
-                                   const ExecProfile &Prof,
-                                   unsigned SolverShards,
-                                   bool CompressUniverse) {
+                                   const ExecProfile &Prof) {
   switch (S) {
   case PlacementStrategy::Balanced:
-    return generateComm(P, G, Ifg, Opts, SolverShards, CompressUniverse);
+    return generateComm(P, G, Ifg, Opts);
   case PlacementStrategy::Speculative:
-    return generateSpeculativeComm(P, G, Ifg, Opts, Prof, SolverShards,
-                                   CompressUniverse);
+    return generateSpeculativeComm(P, G, Ifg, Opts, Prof);
   case PlacementStrategy::Lospre:
-    return losprePlacement(P, G, Ifg, Opts, SolverShards, CompressUniverse);
+    return losprePlacement(P, G, Ifg, Opts);
   }
-  return generateComm(P, G, Ifg, Opts, SolverShards, CompressUniverse);
+  return generateComm(P, G, Ifg, Opts);
 }

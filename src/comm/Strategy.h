@@ -122,25 +122,19 @@ double expectedMessageCost(const Program &P, const CommPlan &Plan,
 CommPlan generateSpeculativeComm(const Program &P, const Cfg &G,
                                  const IntervalFlowGraph &Ifg,
                                  const CommOptions &Opts,
-                                 const ExecProfile &Prof,
-                                 unsigned SolverShards = 0,
-                                 bool CompressUniverse = false);
+                                 const ExecProfile &Prof);
 
 /// Lospre placement: atomic READs at busy-code-motion EARLIEST points
 /// from the interval elimination solve, balanced GIVE-N-TAKE WRITEs.
 CommPlan losprePlacement(const Program &P, const Cfg &G,
                          const IntervalFlowGraph &Ifg,
-                         const CommOptions &Opts,
-                         unsigned SolverShards = 0,
-                         bool CompressUniverse = false);
+                         const CommOptions &Opts);
 
 /// Strategy dispatcher. \p Prof is consulted by Speculative only.
 CommPlan generateStrategyComm(PlacementStrategy S, const Program &P,
                               const Cfg &G, const IntervalFlowGraph &Ifg,
                               const CommOptions &Opts,
-                              const ExecProfile &Prof,
-                              unsigned SolverShards = 0,
-                              bool CompressUniverse = false);
+                              const ExecProfile &Prof);
 
 } // namespace gnt
 

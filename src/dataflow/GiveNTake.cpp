@@ -37,23 +37,6 @@
 /// at every step, so their results are bit-for-bit identical; the
 /// property battery enforces this.
 ///
-/// Because every equation is a bitwise AND/OR/ANDNOT over item sets —
-/// no operation crosses bit lanes — any word range of the universe can
-/// be solved independently of the rest. Two further layers compose on
-/// top of the arena sweeps by exploiting exactly that independence:
-///
-///  - solveGiveNTakeSharded(): workers solve disjoint word ranges of
-///    one shared arena, with no slicing or stitching. Every word is
-///    computed by the same sweep over the same inputs regardless of the
-///    partition, so any shard count is byte-identical to the serial
-///    solve.
-///  - solveGiveNTakeCompressed(): the universe is first partitioned
-///    into column equivalence classes (support/ItemClasses.h) — items
-///    with identical (TAKE_init, GIVE_init, STEAL_init) columns have
-///    identical solutions, and all-empty columns solve to bottom — so
-///    the sweeps run over one representative per class and the full
-///    result is reconstructed by word-run expansion afterwards.
-///
 //===----------------------------------------------------------------------===//
 
 #include "dataflow/GiveNTake.h"
@@ -61,17 +44,10 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "support/DataflowMatrix.h"
-#include "support/ItemClasses.h"
-#include "support/ShardSchedule.h"
 #include "support/SimdKernels.h"
 #include "support/Support.h"
-#include "support/ThreadPool.h"
-
-#include <cstdlib>
-#include <string_view>
 
 using namespace gnt;
 
@@ -462,26 +438,23 @@ inline void gatherMeet(const SolverKernels &SK, Word *D, const RowList &L,
     SK.RowAnd(D, L[I], W);
 }
 
-/// The fused evaluator over the word window [\p WordOff, \p WordOff +
-/// \p WWin) of the universe: identical schedule and identical reads as
-/// the classic solver, but all variables live in \p M and each schedule
+/// The fused evaluator: identical schedule and identical reads as the
+/// classic solver, but all variables live in \p M and each schedule
 /// step runs as a handful of vectorizable word sweeps per node — union
 /// and meet gathers over the edge lists, then one fixed-arity fused
-/// pass with no allocation anywhere.
-///
-/// Windowing is exact because no equation crosses word lanes: the
-/// window's words come out bit-for-bit equal to a full-width solve.
-/// This one property backs both the cache-blocked serial driver and the
-/// sharded driver, whose workers write disjoint windows of one shared
-/// arena.
+/// pass with no allocation anywhere. (Splitting the word range into
+/// cache-sized chunks was measured and rejected: the per-pass graph
+/// walk and edge-list assembly repeated per chunk cost roughly 2x more
+/// than the locality it bought, because each schedule step already
+/// streams the arena linearly.)
 void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
-                    DataflowMatrix &M, unsigned WordOff, unsigned WWin,
+                    DataflowMatrix &M,
                     const detail::ArenaSolveMasks *Masks = nullptr) {
   const unsigned N = Ifg.size();
-  const unsigned W = WWin;
+  const unsigned W = M.wordsPerRow();
   using ET = EdgeType;
   if (W == 0)
-    return; // Empty window: nothing to compute.
+    return; // Empty universe: nothing to compute.
   const std::vector<NodeId> &Pre = Ifg.preorder();
   const SolverKernels &SK = solverKernels();
   const bool FlipEq14 =
@@ -493,7 +466,7 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
   auto RunS4 = [&](NodeId Id) { return !Masks || (*Masks->S4)[Id]; };
 
   auto row = [&](ArenaField F, NodeId Id) -> Word * {
-    return M.row(static_cast<unsigned>(F) * N + Id) + WordOff;
+    return M.row(static_cast<unsigned>(F) * N + Id);
   };
 
   // Value-level refinement of the masked re-solve (see
@@ -514,8 +487,7 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
     return RowChanged[static_cast<std::size_t>(F) * N + Id] != 0;
   };
   auto noteOutput = [&](ArenaField F, NodeId Id) {
-    const Word *Old =
-        Masks->Baseline->row(static_cast<unsigned>(F) * N + Id) + WordOff;
+    const Word *Old = Masks->Baseline->row(static_cast<unsigned>(F) * N + Id);
     RowChanged[static_cast<std::size_t>(F) * N + Id] =
         std::memcmp(row(F, Id), Old, W * sizeof(Word)) != 0;
   };
@@ -729,9 +701,8 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
       EntryTake = SEntryTake;
     }
 
-    SK.FuseS1(W, P.StealInit[Node].words() + WordOff,
-              P.GiveInit[Node].words() + WordOff,
-              P.TakeInit[Node].words() + WordOff, SumSteal, SumGive,
+    SK.FuseS1(W, P.StealInit[Node].words(), P.GiveInit[Node].words(),
+              P.TakeInit[Node].words(), SumSteal, SumGive,
               SEntryBlock, EntryTaken, EntryTake, SFwdBlock, SEfTake,
               Hoistable ? ~Word(0) : Word(0), RTakenOut, row(FSteal, Node),
               row(FGive, Node), row(FBlock, Node), row(FTake, Node),
@@ -870,16 +841,6 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
   }
 }
 
-/// Solves words [\p W0, \p W1) of the universe in one evaluator pass.
-/// (Splitting the range into cache-sized chunks was measured and
-/// rejected: the per-pass graph walk and edge-list assembly repeated
-/// per chunk cost roughly 2x more than the locality it bought, because
-/// each schedule step already streams the arena linearly.)
-void solveRange(const IntervalFlowGraph &Ifg, const GntProblem &P,
-                DataflowMatrix &M, unsigned W0, unsigned W1) {
-  solveIntoArena(Ifg, P, M, W0, W1 - W0);
-}
-
 /// Exposes the arena as the GntResult's BitVector fields. No words are
 /// copied: every field vector borrows its rows, and the result keeps
 /// the arena alive through its Arena handle. The forEachGntField
@@ -916,7 +877,7 @@ void gnt::detail::resolveArenaMasked(const IntervalFlowGraph &Ifg,
          "masked re-solve needs all four step masks");
   assert(M.rows() == NumArenaFields * Ifg.size() &&
          "arena not laid out for this graph");
-  solveIntoArena(Ifg, P, M, 0, M.wordsPerRow(), &Masks);
+  solveIntoArena(Ifg, P, M, &Masks);
 }
 
 GntResult gnt::detail::exportGntArena(std::shared_ptr<DataflowMatrix> M,
@@ -933,244 +894,16 @@ GntResult gnt::solveGiveNTake(const IntervalFlowGraph &Ifg,
   auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
                                             P.UniverseSize,
                                             DataflowMatrix::Uninit);
-  solveRange(Ifg, P, *M, 0, M->wordsPerRow());
+  solveIntoArena(Ifg, P, *M);
   return exportArena(std::move(M), N);
-}
-
-//===----------------------------------------------------------------------===//
-// Item-sharded solve
-//===----------------------------------------------------------------------===//
-
-GntShardPolicy gnt::defaultShardPolicy() {
-  // Read the environment once per process: the policy must be stable
-  // for the lifetime of a service, not flip between requests.
-  static const GntShardPolicy Policy = [] {
-    GntShardPolicy P;
-    if (const char *Mode = std::getenv("GNT_SHARD_MODE"))
-      P.WorkStealing = std::string_view(Mode) == "steal";
-    return P;
-  }();
-  return Policy;
-}
-
-GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                     const GntProblem &P, unsigned Shards,
-                                     ThreadPool &Pool) {
-  const unsigned N = Ifg.size();
-  const unsigned TotalWords = (P.UniverseSize + BitVector::WordBits - 1) /
-                              BitVector::WordBits;
-  if (Shards <= 1 || TotalWords <= 1)
-    return solveGiveNTake(Ifg, P);
-  Shards = std::min(Shards, TotalWords);
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
-
-  // Workers solve disjoint word ranges of one shared arena. Because no
-  // equation crosses word lanes, each range's words come out exactly as
-  // the serial solve computes them — byte-identity for every shard
-  // count, with no slicing or stitching step at all. Writes are to
-  // disjoint addresses and the pool's wait() orders them before the
-  // export below.
-  auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
-                                            P.UniverseSize,
-                                            DataflowMatrix::Uninit);
-  for (unsigned S = 0; S != Shards; ++S) {
-    const unsigned A = static_cast<unsigned>(
-        static_cast<std::uint64_t>(TotalWords) * S / Shards);
-    const unsigned B = static_cast<unsigned>(
-        static_cast<std::uint64_t>(TotalWords) * (S + 1) / Shards);
-    Pool.submit([&Ifg, &P, &M, A, B] { solveRange(Ifg, P, *M, A, B); });
-  }
-  Pool.wait();
-  return exportArena(std::move(M), N);
-}
-
-GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                     const GntProblem &P, unsigned Shards,
-                                     const GntShardPolicy &Policy) {
-  const unsigned N = Ifg.size();
-  const unsigned TotalWords = (P.UniverseSize + BitVector::WordBits - 1) /
-                              BitVector::WordBits;
-  if (Shards <= 1 || TotalWords <= 1)
-    return solveGiveNTake(Ifg, P);
-  Shards = std::min(Shards, TotalWords);
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
-
-  unsigned Hardware = std::thread::hardware_concurrency();
-  if (Hardware == 0)
-    Hardware = 1;
-  const unsigned Workers = std::min({Shards, TotalWords, Hardware});
-
-  // Static mode splits the words into exactly Shards windows — the
-  // historical partition, one chunk per shard. Stealing mode oversplits
-  // (Oversplit chunks per shard) so that when word cost is skewed —
-  // e.g. a compressed problem whose hot classes cluster in a few words
-  // — idle workers can take chunks from the loaded ones. Either way the
-  // chunks are disjoint word windows of one shared arena, and every
-  // word is computed by the same sweep over the same inputs regardless
-  // of which worker runs it or when: any schedule is byte-identical to
-  // the serial solve.
-  const unsigned Parts =
-      Policy.WorkStealing ? Shards * std::max(Policy.Oversplit, 1u) : Shards;
-  const std::vector<WorkChunk> Chunks = splitRange(TotalWords, Parts);
-
-  auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
-                                            P.UniverseSize,
-                                            DataflowMatrix::Uninit);
-  runChunks(Chunks, Workers, Policy.NumaPinning, [&](WorkChunk C) {
-    solveRange(Ifg, P, *M, C.Begin, C.End);
-  });
-  return exportArena(std::move(M), N);
-}
-
-GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                     const GntProblem &P, unsigned Shards) {
-  return solveGiveNTakeSharded(Ifg, P, Shards, defaultShardPolicy());
-}
-
-//===----------------------------------------------------------------------===//
-// Universe-compressed solve
-//===----------------------------------------------------------------------===//
-
-GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
-                                        const GntProblem &P, unsigned Shards,
-                                        const GntShardPolicy *PolicyPtr) {
-  const GntShardPolicy Policy = PolicyPtr ? *PolicyPtr : defaultShardPolicy();
-  const unsigned N = Ifg.size();
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
-
-  // Abort the partition as soon as the live class count proves the
-  // input unprofitable (the threshold mirrors profitable()): on
-  // incompressible inputs this caps the compression attempt at a
-  // fraction of one init sweep instead of a full refinement.
-  const unsigned AbortAbove = P.UniverseSize / 4;
-  const ItemClasses Classes = computeItemClasses(
-      P.UniverseSize, P.TakeInit, P.GiveInit, P.StealInit, AbortAbove);
-  GntCompressionStats Stats;
-  Stats.Universe = P.UniverseSize;
-  Stats.Classes = Classes.NumClasses;
-  Stats.Elided = Classes.elided();
-
-  // Two profitability conditions, both required: the partition must
-  // shrink the universe at least 4x (the class-count gate, checked
-  // first so incompressible inputs pay only the partition probe), and
-  // the expansion plan must not be shattered — more segments than
-  // destination words means the per-row reconstruction degenerates
-  // toward a per-bit scatter (universes whose duplicate columns are
-  // interleaved with many distinct ones fragment this way), at which
-  // point expansion eats the narrower-sweep win.
-  const unsigned DstWords = (P.UniverseSize + BitVector::WordBits - 1) /
-                            BitVector::WordBits;
-  auto Fallback = [&] {
-    GntResult R = Shards > 1 ? solveGiveNTakeSharded(Ifg, P, Shards, Policy)
-                             : solveGiveNTake(Ifg, P);
-    R.Compression = Stats;
-    return R;
-  };
-  if (!Classes.profitable())
-    return Fallback();
-  const std::vector<ExpandSeg> Plan = buildExpandPlan(Classes);
-  if (Plan.size() > DstWords)
-    return Fallback();
-  Stats.Applied = true;
-
-  // Every item is trivially bottom: the whole solution is the zero
-  // matrix, no solve needed — and lazily zeroed, no memory touched.
-  if (Classes.NumClasses == 0) {
-    auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
-                                              P.UniverseSize,
-                                              DataflowMatrix::LazyZeroed);
-    GntResult R = exportArena(std::move(M), N);
-    R.Compression = Stats;
-    return R;
-  }
-
-  // Compressed problem: one bit per class. Reading each class's bit
-  // from the column of one member through the cover plan is sound
-  // precisely because items in a class have *identical* columns, and
-  // keeps compression at word granularity — a handful of word-run
-  // reads per row instead of a per-bit scatter.
-  const std::vector<ExpandSeg> Cover = buildCoverPlan(Plan);
-  GntProblem CP(N, Classes.NumClasses, P.Dir);
-  CP.NoHoistHeaders = P.NoHoistHeaders;
-  auto CompressRows = [&](const std::vector<BitVector> &Full,
-                          std::vector<BitVector> &Narrow) {
-    for (unsigned Id = 0; Id != N; ++Id) {
-      const BitVector::Word *Src = Full[Id].words();
-      BitVector::Word *Dst = Narrow[Id].wordsData();
-      for (const ExpandSeg &Seg : Cover)
-        orCopyBits(Dst, Seg.SrcBit, Src, Seg.DstBit, Seg.Len);
-    }
-  };
-  CompressRows(P.TakeInit, CP.TakeInit);
-  CompressRows(P.GiveInit, CP.GiveInit);
-  CompressRows(P.StealInit, CP.StealInit);
-
-  // Solve the narrow problem with the existing arena/sharded machinery;
-  // its (small) arena is only an intermediate here.
-  GntResult Narrow = Shards > 1 ? solveGiveNTakeSharded(Ifg, CP, Shards, Policy)
-                                : solveGiveNTake(Ifg, CP);
-  const auto *MC = static_cast<const DataflowMatrix *>(Narrow.Arena.get());
-  assert(MC && "arena solver always exports an arena");
-
-  // Expand all 20 variables back to the full universe, tiling every
-  // destination word of an uninitialized arena exactly once (segments
-  // plus the gaps between them — no memset-then-OR double pass). When
-  // every segment boundary is word-aligned the plan compiles to a
-  // straight-line whole-word program, which keeps the hot loop at bare
-  // copies and memsets; otherwise the bit-granular expandRow handles
-  // the general case. The expanded matrix honors the same borrowWords
-  // export contract as a direct solve.
-  const unsigned SrcWords = MC->wordsPerRow();
-  const std::vector<ExpandWordOp> WordProg =
-      compileExpandWordPlan(Plan, DstWords);
-  auto ME = std::make_shared<DataflowMatrix>(NumArenaFields * N,
-                                             P.UniverseSize,
-                                             DataflowMatrix::Uninit);
-  const unsigned NumRows = NumArenaFields * N;
-  const SolverKernels &SK = solverKernels();
-  auto ExpandRows = [&](unsigned Lo, unsigned Hi) {
-    if (!WordProg.empty()) {
-      for (unsigned Row = Lo; Row != Hi; ++Row)
-        SK.ExpandRowWords(ME->row(Row), DstWords, MC->row(Row), SrcWords,
-                          WordProg.data(), WordProg.size());
-    } else {
-      for (unsigned Row = Lo; Row != Hi; ++Row)
-        expandRow(ME->row(Row), DstWords, MC->row(Row), SrcWords, Plan);
-    }
-  };
-  // Expansion cost is *skewed* by construction — an all-zero source row
-  // degrades to one memset while a dense row pays the full segment
-  // program — so this is where work stealing (oversplit row chunks,
-  // idle workers raiding loaded deques) earns its keep over static
-  // windows. Rows are disjoint, so any schedule is byte-identical.
-  if (Shards > 1 && NumRows > 1) {
-    unsigned Hardware = std::thread::hardware_concurrency();
-    if (Hardware == 0)
-      Hardware = 1;
-    const unsigned Workers = std::min({Shards, NumRows, Hardware});
-    const unsigned Parts = Policy.WorkStealing
-                               ? Shards * std::max(Policy.Oversplit, 1u)
-                               : Shards;
-    runChunks(splitRange(NumRows, Parts), Workers, Policy.NumaPinning,
-              [&](WorkChunk C) { ExpandRows(C.Begin, C.End); });
-  } else {
-    ExpandRows(0, NumRows);
-  }
-
-  GntResult R = exportArena(std::move(ME), N);
-  R.Compression = Stats;
-  return R;
 }
 
 //===----------------------------------------------------------------------===//
 // Oriented driver
 //===----------------------------------------------------------------------===//
 
-GntRun gnt::runGiveNTake(const IntervalFlowGraph &Forward, const GntProblem &P,
-                         unsigned SolverShards, bool CompressUniverse) {
+GntRun gnt::orientGiveNTake(const IntervalFlowGraph &Forward,
+                            const GntProblem &P) {
   GntRun Run;
   Run.OrientedProblem = P;
   if (P.Dir == Direction::Before) {
@@ -1182,16 +915,12 @@ GntRun gnt::runGiveNTake(const IntervalFlowGraph &Forward, const GntProblem &P,
     for (NodeId H : Forward.jumpPoisonedHeaders())
       Run.OrientedProblem.StealInit[H].set();
   }
-  // Compression partitions the *oriented* problem — after the poisoning
-  // above — so the full-set STEAL rows it may introduce are part of the
-  // columns being classed, which is what makes eliding sound here.
-  if (CompressUniverse)
-    Run.Result = solveGiveNTakeCompressed(Run.OrientedIfg,
-                                          Run.OrientedProblem, SolverShards);
-  else
-    Run.Result = SolverShards > 1
-                     ? solveGiveNTakeSharded(Run.OrientedIfg,
-                                             Run.OrientedProblem, SolverShards)
-                     : solveGiveNTake(Run.OrientedIfg, Run.OrientedProblem);
+  return Run;
+}
+
+GntRun gnt::runGiveNTake(const IntervalFlowGraph &Forward,
+                         const GntProblem &P) {
+  GntRun Run = orientGiveNTake(Forward, P);
+  Run.Result = solveGiveNTake(Run.OrientedIfg, Run.OrientedProblem);
   return Run;
 }

@@ -23,13 +23,10 @@
 /// every interval that a JUMP edge leaves poisoned via STEAL_init = TOP
 /// to prevent unsafe hoisting (Section 5.3).
 ///
-/// Solver performance is three composable layers, each preserving
-/// byte-identical results: fused word sweeps over a flat DataflowMatrix
-/// arena (solveGiveNTake), item-sharded parallel solving of disjoint
-/// word windows (solveGiveNTakeSharded), and universe compression onto
-/// column equivalence classes with verified expansion
-/// (solveGiveNTakeCompressed — which itself shards the compressed
-/// solve). None is "the" fast path; their wins multiply.
+/// The solver runs fused word sweeps over one flat DataflowMatrix arena
+/// (solveGiveNTake); dataflow/Incremental.h re-solves only the schedule
+/// steps an edit can reach. Both are byte-identical to the classic
+/// per-equation evaluator kept as the differential oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,17 +98,6 @@ struct GntPlacement {
   std::vector<BitVector> ResOut;   ///< Eq. 15: production at node exit.
 };
 
-/// What the universe-compression layer did for one solve. Zero-valued
-/// (Applied == false, Classes == Universe) when compression was not
-/// requested; when it was requested but unprofitable, the partition
-/// numbers are still reported with Applied == false.
-struct GntCompressionStats {
-  unsigned Universe = 0; ///< Original item universe size.
-  unsigned Classes = 0;  ///< Column equivalence classes (compressed size).
-  unsigned Elided = 0;   ///< Trivially-bottom items dropped outright.
-  bool Applied = false;  ///< Whether the compressed solve actually ran.
-};
-
 /// Full solver output, exposing every intermediate dataflow variable so
 /// tests can validate the paper's Section 4 worked example directly.
 /// All variables are expressed in the *solving* orientation: for AFTER
@@ -138,16 +124,11 @@ struct GntResult {
   /// a GntResult deep-copies every BitVector into owned storage either
   /// way, so the handle never outlives its users.
   std::shared_ptr<void> Arena;
-
-  /// Universe-compression accounting for this solve (see
-  /// solveGiveNTakeCompressed). Default-constructed for the other
-  /// entry points.
-  GntCompressionStats Compression;
 };
 
 /// Applies \p Fn("NAME", FieldVector) to every dataflow variable of a
 /// GntResult: the ten Figure 13 variables plus the five placement
-/// variables of each urgency (20 vectors total). Shard stitching and
+/// variables of each urgency (20 vectors total). The arena export and
 /// the differential test battery iterate fields through this helper, so
 /// both stay exhaustive by construction when a field is added.
 template <typename ResultT, typename Fn>
@@ -184,10 +165,7 @@ void forEachGntField(ResultT &&R, Fn &&F) {
 /// allocation for all 20 variables) and fuses the equations of each
 /// schedule step into a single word loop per node; the result is
 /// materialized into the BitVector fields afterwards. Values are
-/// bit-for-bit identical to solveGiveNTakeClassic(). This is the base
-/// layer of the solver stack; solveGiveNTakeSharded parallelizes it
-/// across the universe and solveGiveNTakeCompressed narrows the
-/// universe it sweeps.
+/// bit-for-bit identical to solveGiveNTakeClassic().
 GntResult solveGiveNTake(const IntervalFlowGraph &Ifg, const GntProblem &P);
 
 /// The pre-arena evaluator: one BitVector temporary per equation term,
@@ -197,81 +175,6 @@ GntResult solveGiveNTake(const IntervalFlowGraph &Ifg, const GntProblem &P);
 /// speedup against. Not used on any production path.
 GntResult solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
                                 const GntProblem &P);
-
-class ThreadPool;
-
-/// Scheduling policy for the sharded solve and the compressed-solve
-/// expansion. Results are byte-identical under every policy (the word
-/// windows are disjoint regardless of who executes them); this only
-/// chooses how windows map to workers.
-struct GntShardPolicy {
-  /// Oversplit the range and let workers steal: wins when window costs
-  /// are skewed (compressed expansion, non-uniform ItemClasses) or a
-  /// worker is slowed by a remote NUMA node. Off = one static window
-  /// per shard, the historical behavior.
-  bool WorkStealing = false;
-  /// Chunks per worker when stealing (clamped to the range).
-  unsigned Oversplit = 4;
-  /// Pin workers round-robin across NUMA nodes so first-touch places
-  /// each window on the node of the worker that sweeps it. No-op on
-  /// single-node machines.
-  bool NumaPinning = true;
-};
-
-/// The process-default policy: GNT_SHARD_MODE=steal turns work
-/// stealing on, anything else (or unset) keeps static windows. Read
-/// once per process.
-GntShardPolicy defaultShardPolicy();
-
-/// Solves \p P with the item universe partitioned into \p Shards
-/// word-aligned chunks solved independently (on \p Pool when given) and
-/// stitched back together. Equations 1-15 are item-wise independent —
-/// every operation is a bitwise AND/OR/ANDNOT that never crosses bit
-/// lanes — so any shard count yields results byte-identical to the
-/// serial solve; that invariance is a hard contract enforced by the
-/// property battery. Shards <= 1 (or a single-word universe) falls back
-/// to the serial arena solver; shard counts beyond the word count are
-/// clamped.
-GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                const GntProblem &P, unsigned Shards,
-                                ThreadPool &Pool);
-
-/// Policy-driven overload: spawns its own workers (min(Shards,
-/// hardware)) and schedules the word windows per \p Policy — static
-/// windows, or an oversplit range with work stealing and NUMA pinning.
-GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                const GntProblem &P, unsigned Shards,
-                                const GntShardPolicy &Policy);
-
-/// Convenience overload using defaultShardPolicy().
-GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                const GntProblem &P, unsigned Shards);
-
-/// Solves \p P on the universe compressed to its column equivalence
-/// classes. Equations 1-15 never cross bit lanes, so an item's solution
-/// in every variable is a function of its column across (TAKE_init,
-/// GIVE_init, STEAL_init) alone: items with identical columns are
-/// solved once via a representative, items with all-empty columns are
-/// elided as trivially bottom, and the compressed solution is expanded
-/// back to the full universe afterwards (word-run copies into a fresh
-/// arena, so the zero-copy borrowWords export contract is unchanged).
-/// Results are byte-identical to the plain solve — a contract enforced
-/// by the property battery and the fuzzer's differential oracle.
-///
-/// When the partition does not shrink the universe at least 4x the
-/// call falls back to the plain arena/sharded solve; the partition
-/// aborts as soon as its (monotone) live class count proves that
-/// outcome, bounding the overhead on incompressible problems to a
-/// fraction of the O(set bits) partition sweep. \p Shards applies to whichever solve runs (compressed or
-/// fallback). Compression accounting is reported in
-/// GntResult::Compression either way. \p Policy (defaultShardPolicy()
-/// when null) schedules both the narrow solve and the row expansion;
-/// expansion is where work stealing earns its keep, because all-zero
-/// rows degrade to a memset while segment-dense rows pay the full
-/// expand program.
-GntResult solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
-                                   const GntProblem &P, unsigned Shards = 0,
-                                   const GntShardPolicy *Policy = nullptr);
 
 /// A complete, oriented GIVE-N-TAKE run.
 struct GntRun {
@@ -297,17 +200,16 @@ struct GntRun {
   }
 };
 
-/// Orients the problem (reversing the graph and poisoning jumped-out
-/// intervals for AFTER problems) and solves it. \p SolverShards > 1
-/// solves the item universe in that many word-aligned shards on a
-/// transient thread pool; \p CompressUniverse first narrows the
-/// universe to its column equivalence classes (compression runs on the
-/// *oriented* problem, after jump poisoning, so poisoned STEAL rows are
-/// part of the partitioned columns). Both are solver strategy knobs:
-/// by contract the result is byte-identical to the serial,
-/// uncompressed solve.
-GntRun runGiveNTake(const IntervalFlowGraph &Forward, const GntProblem &P,
-                    unsigned SolverShards = 0, bool CompressUniverse = false);
+/// The orientation rule every solve entry point shares: returns a run
+/// whose graph is \p Forward for BEFORE problems and its reversal for
+/// AFTER problems, whose problem is \p P with every interval a JUMP
+/// edge leaves poisoned (STEAL_init = TOP) for AFTER problems, and
+/// whose Result is still empty.
+GntRun orientGiveNTake(const IntervalFlowGraph &Forward, const GntProblem &P);
+
+/// Orients the problem (orientGiveNTake) and solves it with the arena
+/// solver.
+GntRun runGiveNTake(const IntervalFlowGraph &Forward, const GntProblem &P);
 
 namespace detail {
 
@@ -349,8 +251,8 @@ struct ArenaSolveMasks {
   std::vector<char> *Ran = nullptr;
 };
 
-/// Re-runs the fused evaluator full-width over \p M, restricted to the
-/// nodes selected by \p Masks. Unlike a cold solve the arena is NOT
+/// Re-runs the fused evaluator over \p M, restricted to the nodes
+/// selected by \p Masks. Unlike a cold solve the arena is NOT
 /// zero-initialized first: \p M must hold a complete converged solution
 /// for the same (graph, universe) whose non-dirty rows double as the
 /// skipped steps' values. Sound only on graphs whose oriented form has

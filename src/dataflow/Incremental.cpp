@@ -190,21 +190,9 @@ std::shared_ptr<DataflowMatrix> cloneArena(const DataflowMatrix &Src) {
 } // namespace
 
 GntRun gnt::runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
-                                    const GntProblem &P,
-                                    unsigned SolverShards,
-                                    bool CompressUniverse, GntSolveMemo &Memo,
+                                    const GntProblem &P, GntSolveMemo &Memo,
                                     GntIncrementalStats &Stats) {
-  // Orient exactly as runGiveNTake() does, so every outcome below is
-  // byte-identical to the non-incremental driver.
-  GntRun Run;
-  Run.OrientedProblem = P;
-  if (P.Dir == Direction::Before) {
-    Run.OrientedIfg = Forward;
-  } else {
-    Run.OrientedIfg = Forward.reversed();
-    for (NodeId H : Forward.jumpPoisonedHeaders())
-      Run.OrientedProblem.StealInit[H].set();
-  }
+  GntRun Run = orientGiveNTake(Forward, P);
   const IntervalFlowGraph &Ifg = Run.OrientedIfg;
   const GntProblem &OP = Run.OrientedProblem;
   const unsigned N = Ifg.size();
@@ -289,13 +277,7 @@ GntRun gnt::runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
     // refreshes the memo, so identical follow-ups become memo hits).
   }
 
-  // Full solve through the normal strategy stack.
-  if (CompressUniverse)
-    Run.Result = solveGiveNTakeCompressed(Ifg, OP, SolverShards);
-  else
-    Run.Result = SolverShards > 1
-                     ? solveGiveNTakeSharded(Ifg, OP, SolverShards)
-                     : solveGiveNTake(Ifg, OP);
+  Run.Result = solveGiveNTake(Ifg, OP);
   ++Stats.FullSolves;
 
   Memo.clear();

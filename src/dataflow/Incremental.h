@@ -50,7 +50,7 @@
 ///   full solve    structure changed, first call, or the graph has
 ///                 jump edges (whose early reads must see bottom — a
 ///                 warm arena cannot provide that, see Section 5.3);
-///                 the normal solver stack runs and refills the memo.
+///                 the arena solver runs and refills the memo.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,14 +136,13 @@ std::uint64_t gntStructureDigest(const IntervalFlowGraph &Ifg,
 std::uint64_t gntNodeInputDigest(const GntProblem &P, NodeId N);
 
 /// Drop-in replacement for runGiveNTake() that consults and refills
-/// \p Memo: orients the problem identically, then serves the result as
-/// a memo hit, a masked partial re-solve, or a full solve (see file
-/// comment). Results are byte-identical to runGiveNTake() by contract.
-/// Not thread-safe with respect to \p Memo — callers serialize access
-/// per memo slot.
+/// \p Memo: orients the problem with orientGiveNTake(), then serves the
+/// result as a memo hit, a masked partial re-solve, or a full solve (see
+/// file comment). Results are byte-identical to runGiveNTake() by
+/// contract. Not thread-safe with respect to \p Memo — callers
+/// serialize access per memo slot.
 GntRun runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
-                               const GntProblem &P, unsigned SolverShards,
-                               bool CompressUniverse, GntSolveMemo &Memo,
+                               const GntProblem &P, GntSolveMemo &Memo,
                                GntIncrementalStats &Stats);
 
 /// The memo slots one pipeline compilation can thread through its

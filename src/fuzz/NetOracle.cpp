@@ -38,10 +38,8 @@ namespace {
 /// the request's "options" object so the socket and stdio paths parse
 /// the same bytes.
 const char *const OptionVariants[] = {
-    "",                            // Defaults (comm mode).
-    "{\"mode\":\"pre\"}",          // Expression PRE.
-    "{\"solver_shards\":7}",       // Sharded solve (same bytes).
-    "{\"compress_universe\":true}" // Compressed solve (same bytes).
+    "",                  // Defaults (comm mode).
+    "{\"mode\":\"pre\"}" // Expression PRE.
 };
 constexpr unsigned NumVariants =
     sizeof(OptionVariants) / sizeof(OptionVariants[0]);

@@ -10,8 +10,8 @@
 /// framing, real admission and worker scheduling — and diffs every
 /// response line byte-for-byte against the serial stdio engine
 /// (BatchServer with Workers=0) answering the same requests. Each
-/// program is replayed under several pipeline option variants (comm,
-/// PRE, sharded solver, compressed universe), and arrival order is
+/// program is replayed under two pipeline option variants (comm and
+/// PRE), and arrival order is
 /// shuffled per seed across several connections, so the oracle
 /// continuously re-proves the serving determinism bar: nothing between
 /// the wire and the pipeline may leak scheduling, caching, or framing

@@ -24,7 +24,7 @@ using namespace gnt::fuzz;
 
 namespace {
 
-PipelineOptions checkedOptions(unsigned Shards = 0) {
+PipelineOptions checkedOptions() {
   PipelineOptions Opts;
   Opts.Annotate = true;
   Opts.Audit = true;
@@ -36,7 +36,6 @@ PipelineOptions checkedOptions(unsigned Shards = 0) {
   // requires full note-freedom so checked-in corpus seeds pass the
   // ctest `--audit --werror` replays.
   Opts.Werror = false;
-  Opts.SolverShards = Shards;
   return Opts;
 }
 
@@ -179,7 +178,7 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
   Out.Features = coverageFeatures(*R.Prog, *R.Ifg, Out.UniverseSize);
   Out.CoverageKey = Out.Features.key();
 
-  // Layer 3: artifact-level differential — classic and sharded
+  // Layer 3: artifact-level differential — classic and per-kernel
   // re-solves of the oriented problems must match the arena solve on
   // all 20 dataflow variables.
   if (Opts.Differential) {
@@ -191,21 +190,6 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
           solveGiveNTakeClassic(Run->OrientedIfg, Run->OrientedProblem);
       diffResults(Classic, Run->Result,
                   std::string("differential.classic.") + Problem,
-                  Out.Findings);
-      for (unsigned S : Opts.ShardCounts) {
-        GntResult Sharded =
-            solveGiveNTakeSharded(Run->OrientedIfg, Run->OrientedProblem, S);
-        diffResults(Classic, Sharded,
-                    "differential.shards" + itostr(S) + "." + Problem,
-                    Out.Findings);
-      }
-      // The universe-compressed solve must expand back to the exact
-      // same 20 variables (ItemClasses partition + expansion are both
-      // on trial here, against the classic oracle).
-      GntResult Compressed =
-          solveGiveNTakeCompressed(Run->OrientedIfg, Run->OrientedProblem);
-      diffResults(Classic, Compressed,
-                  std::string("differential.compressed.") + Problem,
                   Out.Findings);
       // Every SIMD kernel variant this machine can run must produce the
       // classic result bit-for-bit — the variants share nothing but the
@@ -223,25 +207,9 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
     };
     DiffRun(R.Plan->ReadRun, "READ");
     DiffRun(R.Plan->WriteRun, "WRITE");
-
-    // Layer 4: the production path itself, re-run under each solver
-    // strategy knob, must reach an identical outcome signature.
-    PipelineResult Sharded = compilePipeline(Source, checkedOptions(7));
-    if (resultSignature(R) != resultSignature(Sharded))
-      Out.Findings.push_back(
-          {"differential.pipeline.shards7",
-           "resultSignature differs between serial and 7-shard compiles"});
-    PipelineOptions CompressOpts = checkedOptions();
-    CompressOpts.CompressUniverse = true;
-    PipelineResult Compressed = compilePipeline(Source, CompressOpts);
-    if (resultSignature(R) != resultSignature(Compressed))
-      Out.Findings.push_back(
-          {"differential.pipeline.compressed",
-           "resultSignature differs between uncompressed and "
-           "universe-compressed compiles"});
   }
 
-  // Layer 5: incremental differential. The stage cache is warm with the
+  // Layer 4: incremental differential. The stage cache is warm with the
   // input's artifacts and solve memos; an edited variant compiled from
   // that history must be byte-identical to compiling it cold. The edit
   // is a deterministic mutator draw, so replay and minimization re-check
@@ -276,7 +244,7 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
     }
   }
 
-  // Layer 6: dynamic C1/C3 on concrete traces.
+  // Layer 5: dynamic C1/C3 on concrete traces.
   std::vector<SimStats> BaseStats;
   if (Opts.Simulate || Opts.Metamorphic)
     for (const SimConfig &C : simConfigs())
@@ -288,10 +256,10 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
             {"simulator.trace", "config " + itostr(static_cast<long long>(I)) +
                                     ": " + E});
 
-  // Layer 7: placement strategies. Only on inputs clean so far, for the
+  // Layer 6: placement strategies. Only on inputs clean so far, for the
   // same anti-cascade reason as the metamorphic layer: each non-balanced
-  // strategy re-compiles the input through the audit stack, simulates
-  // under the shared configs, and must be shard/compression invariant.
+  // strategy re-compiles the input through the audit stack and simulates
+  // under the shared configs.
   // Speculation trains on a biased execution of the balanced plan; on
   // jump-free inputs its adoption gate (strict expected-cost win, exact
   // under the anchor-frequency model) makes "no more messages than
@@ -319,15 +287,6 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
         Out.Findings.push_back({Prefix + ".audit", SR.Diags.renderText()});
         continue;
       }
-      PipelineOptions InvOpts = SOpts;
-      InvOpts.SolverShards = 7;
-      InvOpts.CompressUniverse = true;
-      PipelineResult InvR = compilePipeline(Source, InvOpts);
-      if (resultSignature(SR) != resultSignature(InvR))
-        Out.Findings.push_back(
-            {Prefix + ".invariance",
-             "resultSignature differs between the serial and the "
-             "7-shard universe-compressed compile"});
       std::vector<SimConfig> Configs = simConfigs();
       for (std::size_t I = 0; I != Configs.size(); ++I) {
         SimStats SS = simulate(*SR.Prog, *SR.Plan, Configs[I]);
@@ -351,7 +310,7 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
     }
   }
 
-  // Layer 8: metamorphic variants. Only on inputs that are clean so
+  // Layer 7: metamorphic variants. Only on inputs that are clean so
   // far — a real defect should surface as its primary class, not as a
   // cascade of derived mismatches.
   if (Opts.Metamorphic && Out.Findings.empty()) {

@@ -12,30 +12,26 @@
 ///  2. audit gate — the production pipeline with the full static audit,
 ///     the independent C1/C3/O1 verifier and -Werror: any diagnostic on
 ///     a frontend-valid input is a finding;
-///  3. artifact differential — the classic per-equation evaluator, the
-///     sharded solver (2 and 7 shards) and the universe-compressed
-///     solver re-solve the oriented READ/WRITE problems; all 20
-///     dataflow variables must be byte-identical to the production
-///     arena solve (forEachGntField);
-///  4. production differential — pipeline compiles at SolverShards=7
-///     and at CompressUniverse=true must each produce an equal
-///     resultSignature();
-///  5. incremental differential — a stage cache is primed with the
+///  3. artifact differential — the classic per-equation evaluator and
+///     the arena solver under every SIMD kernel variant the machine can
+///     run re-solve the oriented READ/WRITE problems; all 20 dataflow
+///     variables must be byte-identical to the production arena solve
+///     (forEachGntField);
+///  4. incremental differential — a stage cache is primed with the
 ///     input, a deterministic mutator edit is compiled incrementally
 ///     from the warm cache, and its result signature and annotation
 ///     must be byte-identical to a cold compile of the edit;
-///  6. trace simulation — the annotated program executes under several
+///  5. trace simulation — the annotated program executes under several
 ///     (params, branch-seed) bindings; any dynamic C1/C3 violation is a
 ///     finding;
-///  7. strategy layer — the input re-compiles under every non-balanced
+///  6. strategy layer — the input re-compiles under every non-balanced
 ///     placement strategy (comm/Strategy.h): `lospre`, and
 ///     `speculative` fed a profile from a biased training execution of
-///     the balanced plan. Each must pass the audit stack, simulate
-///     without dynamic violations, and stay shard/compression
-///     invariant; on jump-free programs the speculative plan must not
-///     execute more messages than balanced under the profile-generating
-///     trajectory;
-///  8. metamorphic layer — each semantics-preserving transform from
+///     the balanced plan. Each must pass the audit stack and simulate
+///     without dynamic violations; on jump-free programs the
+///     speculative plan must not execute more messages than balanced
+///     under the profile-generating trajectory;
+///  7. metamorphic layer — each semantics-preserving transform from
 ///     Metamorphic.h is applied and the variant's SimStats must match
 ///     the original under the transform's invariant mask.
 ///
@@ -62,7 +58,7 @@ struct OracleOptions {
   bool Simulate = true;
   bool Metamorphic = true;
   /// Strategy layer: `lospre` and profile-fed `speculative` compiles of
-  /// the input, each gated on audit, trace simulation, invariance, and
+  /// the input, each gated on audit, trace simulation, and
   /// (speculative, jump-free inputs) the message-cost contract.
   /// Findings are "strategies.<name>.*".
   bool Strategies = true;
@@ -71,9 +67,6 @@ struct OracleOptions {
   /// the warm cache and byte-diff it against a cold compile. Findings
   /// are "differential.incremental.*".
   bool Incremental = true;
-
-  /// Shard counts for the artifact differential.
-  std::vector<unsigned> ShardCounts = {2, 7};
 };
 
 struct OracleFinding {

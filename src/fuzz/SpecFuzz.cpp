@@ -164,11 +164,6 @@ SpecFuzzReport gnt::fuzz::runSpecFuzzer(const SpecFuzzOptions &Opts) {
   std::vector<TestProgram> Programs =
       buildTestPrograms(Opts.Seed, Opts.ProgramsPerSpec);
 
-  // (shards, compress) strategy grid; all four must agree byte for
-  // byte with each other and with the iterative oracle inside each run.
-  static const std::pair<unsigned, bool> Strategies[] = {
-      {0, false}, {7, false}, {0, true}, {7, true}};
-
   auto Check = [&](const std::string &Text) {
     ++Report.Tried;
     SpecParseResult PR = parseAndLintAnalysisSpec(Text);
@@ -184,34 +179,15 @@ SpecFuzzReport gnt::fuzz::runSpecFuzzer(const SpecFuzzOptions &Opts) {
     }
     ++Report.Accepted;
 
-    // Oracle 2: solve on every test program under every strategy; the
-    // differential inside runAnalysisSpec checks iterative-vs-arena,
-    // and the hash comparison here checks strategy invariance.
+    // Oracle 2: solve on every test program; the differential inside
+    // runAnalysisSpec checks iterative-vs-arena.
     for (const TestProgram &T : Programs) {
-      uint64_t FirstHash = 0;
-      bool HaveHash = false;
-      for (const auto &[Shards, Compress] : Strategies) {
-        AnalysisRun Run =
-            runAnalysisSpec(Text, T.Prog, T.G, T.Ifg, Shards, Compress);
-        if (!Run.ok()) {
-          Report.Findings.push_back(
-              {"spec.differential",
-               "accepted spec failed its backend differential (shards=" +
-                   itostr(Shards) + ", compress=" + itostr(Compress) + ")",
-               Text});
-          return;
-        }
-        if (!HaveHash) {
-          FirstHash = Run.solutionHash();
-          HaveHash = true;
-        } else if (Run.solutionHash() != FirstHash) {
-          Report.Findings.push_back(
-              {"spec.invariance",
-               "solution hash changed under (shards=" + itostr(Shards) +
-                   ", compress=" + itostr(Compress) + ")",
-               Text});
-          return;
-        }
+      AnalysisRun Run = runAnalysisSpec(Text, T.Prog, T.G, T.Ifg);
+      if (!Run.ok()) {
+        Report.Findings.push_back(
+            {"spec.differential",
+             "accepted spec failed its backend differential", Text});
+        return;
       }
     }
   };

@@ -15,12 +15,10 @@
 ///     structured CheckId::Spec error; silent rejection or an
 ///     unexplained crash is a finding.
 ///  2. Solver soundness: an accepted spec is compiled and solved on a
-///     battery of generated programs under every strategy combination
-///     (serial/sharded x plain/compressed). Any differential failure
-///     between the iterative and arena backends, or any solution-hash
-///     divergence between strategies, is a finding — the byte-identity
-///     contract holds for *arbitrary* monotone specs, not just the
-///     built-ins.
+///     battery of generated programs. Any differential failure between
+///     the iterative and arena backends is a finding — the
+///     byte-identity contract holds for *arbitrary* monotone specs, not
+///     just the built-ins.
 ///
 /// Deterministic in Seed, like the program fuzzer.
 ///
@@ -45,8 +43,8 @@ struct SpecFuzzOptions {
 };
 
 struct SpecFuzzFinding {
-  std::string Kind;   ///< "spec.lint.no-diagnostic", "spec.differential",
-                      ///< or "spec.invariance".
+  std::string Kind;   ///< "spec.lint.no-diagnostic" or
+                      ///< "spec.differential".
   std::string Detail; ///< Human-readable description.
   std::string Spec;   ///< The offending spec text (the repro).
 };

@@ -460,6 +460,19 @@ void NetServer::handleFrame(Conn &C, std::string Line) {
     return;
   }
 
+  // A remote client must not make the daemon open local paths: the
+  // parse diagnostics would reveal whether a path exists and something
+  // of its contents. Batch (stdio) mode keeps `file` requests.
+  if (!Req.File.empty()) {
+    routeResponse(C, Seq,
+                  renderResponse(Req.Id,
+                                 renderErrorPayload(
+                                     "`file` requests are not served over "
+                                     "a socket; send the program text as "
+                                     "`source`")));
+    return;
+  }
+
   if (Draining.load(std::memory_order_acquire)) {
     Net.ShedDraining.fetch_add(1, std::memory_order_relaxed);
     routeResponse(C, Seq,

@@ -235,15 +235,12 @@ GntProblem gnt::buildExprPreProblem(const Program &P, const Cfg &G,
 
 ExprPreResult gnt::runExprPre(const Program &P, const Cfg &G,
                               const IntervalFlowGraph &Ifg,
-                              unsigned SolverShards, bool CompressUniverse,
                               GntIncrementalContext *Inc) {
   ExprPreResult R;
   PreAnalyzer A(P, G, R);
   R.Problem = A.buildProblem();
-  R.Run = Inc ? runGiveNTakeIncremental(Ifg, R.Problem, SolverShards,
-                                        CompressUniverse, Inc->Pre,
-                                        Inc->Stats)
-              : runGiveNTake(Ifg, R.Problem, SolverShards, CompressUniverse);
+  R.Run = Inc ? runGiveNTakeIncremental(Ifg, R.Problem, Inc->Pre, Inc->Stats)
+              : runGiveNTake(Ifg, R.Problem);
 
   // LAZY placements are the classical PRE insertions; an insertion that
   // coincides with an occurrence stays an ordinary evaluation whose

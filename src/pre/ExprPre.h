@@ -75,18 +75,12 @@ struct ExprPreResult {
   GntVerifyResult verify() const;
 };
 
-/// Runs expression PRE over \p P. \p SolverShards > 1 solves the
-/// underlying GIVE-N-TAKE problem with the expression universe split
-/// into that many word-aligned shards; \p CompressUniverse solves it
-/// over expression equivalence classes. Both are strategy knobs: the
-/// placement is byte-identical in every configuration (the invariance
-/// contracts of dataflow/GiveNTake.h). \p Inc, when set, routes the
-/// solve through runGiveNTakeIncremental with the context's Pre memo
-/// slot (dataflow/Incremental.h) — same byte-identity contract.
+/// Runs expression PRE over \p P. \p Inc, when set, routes the solve
+/// through runGiveNTakeIncremental with the context's Pre memo slot
+/// (dataflow/Incremental.h), whose results are byte-identical to a cold
+/// solve by contract.
 ExprPreResult runExprPre(const Program &P, const Cfg &G,
                          const IntervalFlowGraph &Ifg,
-                         unsigned SolverShards = 0,
-                         bool CompressUniverse = false,
                          GntIncrementalContext *Inc = nullptr);
 
 /// Builds the expression-PRE problem for \p P over \p G without solving

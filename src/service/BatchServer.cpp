@@ -53,7 +53,7 @@ bool decodeOptions(const JsonValue &Obj, PipelineOptions &Opts,
       Opts.Baseline = V.S;
     } else if (Key == "strategy") {
       // Placement strategy: semantic (part of the cache key), unlike
-      // solver_shards/compress_universe/incremental below.
+      // incremental below.
       if (!V.isString() || !parsePlacementStrategy(V.S, Opts.Strategy)) {
         Error = "option `strategy` must be \"balanced\", \"speculative\" "
                 "or \"lospre\"";
@@ -94,26 +94,11 @@ bool decodeOptions(const JsonValue &Obj, PipelineOptions &Opts,
     } else if (Key == "werror") {
       if (!optionBool(V, Key, Opts.Werror, Error))
         return false;
-    } else if (Key == "solver_shards") {
-      // Execution strategy, not a semantic knob: any value produces
-      // byte-identical results (and shares one cache entry — the field
-      // is excluded from the canonical options string).
-      if (!V.isInt() || V.I < 0 || V.I > 65536) {
-        Error = "option `solver_shards` must be an integer in [0, 65536]";
-        return false;
-      }
-      Opts.SolverShards = static_cast<unsigned>(V.I);
-    } else if (Key == "compress_universe") {
-      // Also an execution strategy (universe compression is
-      // byte-identical by contract); likewise excluded from the
-      // canonical options string and thus the cache key.
-      if (!optionBool(V, Key, Opts.CompressUniverse, Error))
-        return false;
     } else if (Key == "incremental") {
-      // Interval-level incremental solving: an execution strategy like
-      // solver_shards — the incrementality-equivalence battery pins its
-      // output byte-identical to a cold solve, so it is excluded from
-      // the canonical options string and thus the cache key.
+      // Interval-level incremental solving: an execution strategy, not
+      // a semantic knob — the incrementality-equivalence battery pins
+      // its output byte-identical to a cold solve, so it is excluded
+      // from the canonical options string and thus the cache key.
       if (!optionBool(V, Key, Opts.Incremental, Error))
         return false;
     } else if (Key == "analyses") {
@@ -388,8 +373,6 @@ std::string BatchServer::serve(const ServiceRequest &Req) {
       for (unsigned I = 0; I < NumPipelineStages; ++I)
         if (R->StageMicros[I] > 0)
           Metrics.StageLatency[I].record(R->StageMicros[I]);
-      Metrics.CompressedUniverseItems += R->CompressedUniverse;
-      Metrics.CompressedClassItems += R->CompressedClasses;
     }
     return renderResponse(Req.Id, Payload);
   };

@@ -17,19 +17,19 @@
 /// \endcode
 ///
 /// Exactly one of "source" (inline program text) or "file" (path read
-/// by the worker) is required; "id" defaults to the 1-based line
-/// number; "tenant" (optional string) names the quota principal in
-/// socket mode and is ignored here; "options" maps onto PipelineOptions: "mode" ("comm"|"pre"),
-/// "baseline", "strategy" ("balanced"|"speculative"|"lospre"),
-/// "profile" (gnt-profile-v1 text for the speculative strategy),
-/// "atomic", "owner_computes", "hoist_zero_trip", "reads",
-/// "writes", "annotate", "audit", "verify", "werror", "solver_shards"
-/// (integer), "compress_universe" (bool), "incremental" (bool) and
-/// "analyses" (array of strings: built-in analysis names or full spec
-/// texts, run differentially after the solve) — solver_shards,
-/// compress_universe and incremental are solver execution strategies
-/// with byte-identical results for any value, so none participates in
-/// the result cache key; "strategy", "profile" and "analyses" change
+/// by the worker; batch mode only — the socket server rejects it) is
+/// required; "id" defaults to the 1-based line number; "tenant"
+/// (optional string) names the quota principal in socket mode and is
+/// ignored here; "options" maps onto PipelineOptions: "mode"
+/// ("comm"|"pre"), "baseline", "strategy"
+/// ("balanced"|"speculative"|"lospre"), "profile" (gnt-profile-v1 text
+/// for the speculative strategy), "atomic", "owner_computes",
+/// "hoist_zero_trip", "reads", "writes", "annotate", "audit", "verify",
+/// "werror", "incremental" (bool) and "analyses" (array of strings:
+/// built-in analysis names or full spec texts, run differentially after
+/// the solve) — incremental is a solver execution strategy with
+/// byte-identical results for either value, so it does not participate
+/// in the result cache key; "strategy", "profile" and "analyses" change
 /// the payload and do.
 ///
 /// Compilations run through a content-addressed stage cache

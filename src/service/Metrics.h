@@ -83,12 +83,6 @@ struct ServiceMetrics {
   /// Per-stage latency, misses only (hits run no stages).
   LatencyStats StageLatency[NumPipelineStages];
 
-  /// Universe-compression accounting summed over compiled (miss) jobs:
-  /// total original items vs total classes actually solved. Both stay
-  /// zero when no job solved with compression enabled.
-  unsigned long long CompressedUniverseItems = 0;
-  unsigned long long CompressedClassItems = 0;
-
   /// Per-stage stage-cache hits and misses (service/StageCache.h
   /// order: parse, cfg, interval, solve, annotate). All zero when no
   /// job compiled through a stage cache — only requests that miss the
@@ -107,14 +101,6 @@ struct ServiceMetrics {
     return Probes ? static_cast<double>(StageHits[Stage]) /
                         static_cast<double>(Probes)
                   : 0;
-  }
-
-  /// Aggregate classes/universe ratio; 1.0 when nothing was compressed.
-  double compressionRatio() const {
-    return CompressedUniverseItems
-               ? static_cast<double>(CompressedClassItems) /
-                     static_cast<double>(CompressedUniverseItems)
-               : 1.0;
   }
 
   double throughputJobsPerSec() const {
@@ -151,14 +137,6 @@ struct ServiceMetrics {
     }
     if (Cancelled) {
       std::snprintf(Buf, sizeof(Buf), "cancelled: %llu jobs\n", Cancelled);
-      R += Buf;
-    }
-    if (CompressedUniverseItems) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "compression: %llu items -> %llu classes "
-                    "(ratio %.3f)\n",
-                    CompressedUniverseItems, CompressedClassItems,
-                    compressionRatio());
       R += Buf;
     }
     // Stage cache and incremental blocks share the conditional idiom:
@@ -274,14 +252,6 @@ struct ServiceMetrics {
           .value(static_cast<long long>(Incremental.NodesTotal));
       W.endObject();
     }
-    W.key("compression");
-    W.beginObject();
-    W.key("universe_items")
-        .value(static_cast<long long>(CompressedUniverseItems));
-    W.key("class_items").value(static_cast<long long>(CompressedClassItems));
-    W.key("ratio");
-    jsonDouble(W, compressionRatio());
-    W.endObject();
     W.key("latency_micros");
     W.beginObject();
     emitLatency(W, "job", JobLatency);

@@ -69,11 +69,11 @@ std::string PipelineOptions::canonical() const {
     R += '\x1f'; // Unit separator: spec texts may contain ';' and '='.
     R += A;
   }
-  // SolverShards and CompressUniverse are intentionally absent: both
-  // are solver execution strategies that cannot change any output byte
-  // (the invariance contracts of dataflow/GiveNTake.h), so requests
-  // differing only in those knobs must share a cache entry. The
-  // cache-key audit test in PipelineTest guards this list from drift.
+  // Incremental is intentionally absent: it is a solver execution
+  // strategy that cannot change any output byte (the byte-identity
+  // contract of dataflow/Incremental.h), so requests differing only in
+  // that knob must share a cache entry. The cache-key audit test in
+  // PipelineTest guards this list from drift.
   return R;
 }
 
@@ -131,12 +131,6 @@ void auditInto(PipelineResult &R, const GntRun &Run,
   R.Audit.Engine.EdgeEvaluations += A.Stats.Engine.EdgeEvaluations;
   R.Audit.Engine.WorklistPeak =
       std::max(R.Audit.Engine.WorklistPeak, A.Stats.Engine.WorklistPeak);
-}
-
-/// Accumulates one solve's compression accounting into the result.
-void recordCompression(PipelineResult &R, const GntCompressionStats &S) {
-  R.CompressedUniverse += S.Universe;
-  R.CompressedClasses += S.Applied ? S.Classes : S.Universe;
 }
 
 /// Component-wise Now - Then for the monotone incremental counters: the
@@ -291,8 +285,6 @@ PipelineResult Pipeline::compile(const std::string &Source,
     R.Ifg = IA->Ifg;
     R.Plan = SA->Plan;
     R.Pre = SA->Pre;
-    R.CompressedUniverse = SA->CompressedUniverse;
-    R.CompressedClasses = SA->CompressedClasses;
     R.Reached = PipelineStage::Solve;
   } else {
     // Incremental solving reuses the per-option-set memo slot; the
@@ -315,9 +307,7 @@ PipelineResult Pipeline::compile(const std::string &Source,
       StageTimer T(R, PipelineStage::Solve);
       if (Opts.Mode == PipelineMode::Pre) {
         R.Pre = std::make_shared<const ExprPreResult>(
-            runExprPre(*R.Prog, R.G, *R.Ifg, Opts.SolverShards,
-                       Opts.CompressUniverse, Inc));
-        recordCompression(R, R.Pre->Run.Result.Compression);
+            runExprPre(*R.Prog, R.G, *R.Ifg, Inc));
       } else if (Opts.Baseline == "naive")
         R.Plan = std::make_shared<const CommPlan>(
             naivePlacement(*R.Prog, R.G, *R.Ifg));
@@ -330,8 +320,7 @@ PipelineResult Pipeline::compile(const std::string &Source,
       else if (Opts.Baseline.empty()) {
         if (Opts.Strategy == PlacementStrategy::Balanced)
           R.Plan = std::make_shared<const CommPlan>(
-              generateComm(*R.Prog, R.G, *R.Ifg, Opts.Comm,
-                           Opts.SolverShards, Opts.CompressUniverse, Inc));
+              generateComm(*R.Prog, R.G, *R.Ifg, Opts.Comm, Inc));
         else {
           ExecProfile Prof;
           std::string ProfErr;
@@ -340,13 +329,8 @@ PipelineResult Pipeline::compile(const std::string &Source,
             return R;
           }
           R.Plan = std::make_shared<const CommPlan>(generateStrategyComm(
-              Opts.Strategy, *R.Prog, R.G, *R.Ifg, Opts.Comm, Prof,
-              Opts.SolverShards, Opts.CompressUniverse));
+              Opts.Strategy, *R.Prog, R.G, *R.Ifg, Opts.Comm, Prof));
         }
-        if (R.Plan->ReadRun)
-          recordCompression(R, R.Plan->ReadRun->Result.Compression);
-        if (R.Plan->WriteRun)
-          recordCompression(R, R.Plan->WriteRun->Result.Compression);
       } else {
         R.Diags.add(makeError(CheckId::Engine,
                               "unknown baseline `" + Opts.Baseline + "`"));
@@ -367,8 +351,6 @@ PipelineResult Pipeline::compile(const std::string &Source,
       A->Interval = IA;
       A->Plan = R.Plan;
       A->Pre = R.Pre;
-      A->CompressedUniverse = R.CompressedUniverse;
-      A->CompressedClasses = R.CompressedClasses;
       Cache->insertSolve(Ksolve, std::move(A));
     }
   }
@@ -428,13 +410,11 @@ PipelineResult Pipeline::compile(const std::string &Source,
   }
 
   // User-specified analyses, each solved differentially on both
-  // backends under the run's strategy knobs.
+  // backends.
   if (!Opts.ExtraAnalyses.empty()) {
     StageTimer T(R, PipelineStage::Analyze);
     for (const std::string &Entry : Opts.ExtraAnalyses) {
-      AnalysisRun Run = runAnalysisSpec(Entry, *R.Prog, R.G, *R.Ifg,
-                                        Opts.SolverShards,
-                                        Opts.CompressUniverse);
+      AnalysisRun Run = runAnalysisSpec(Entry, *R.Prog, R.G, *R.Ifg);
       for (Diagnostic D : Run.Diags.all()) {
         D.Message = "analyze(" + Run.Name + "): " + D.Message;
         R.Diags.add(std::move(D));

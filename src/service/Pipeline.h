@@ -91,7 +91,7 @@ struct PipelineOptions {
   /// the paper's balanced discipline (default), profile-guided
   /// speculative hoisting, or the linear-time lospre formulation.
   /// Conflicts with Baseline and with PRE mode (Engine diagnostic).
-  /// Unlike SolverShards this changes output, so it IS part of
+  /// Unlike Incremental this changes output, so it IS part of
   /// canonical() and of the stage-cache solve key.
   PlacementStrategy Strategy = PlacementStrategy::Balanced;
 
@@ -117,29 +117,15 @@ struct PipelineOptions {
   /// Promote warnings and notes to errors at the end of the run.
   bool Werror = false;
 
-  /// Number of word-aligned item shards the GIVE-N-TAKE solve runs in
-  /// (0 or 1 = serial). Sharding is an execution strategy, not a
-  /// semantic knob: the shard-invariance contract of
-  /// dataflow/GiveNTake.h guarantees byte-identical results for every
-  /// value, so this field is deliberately NOT part of canonical() — two
-  /// requests that differ only in shard count share one cache entry.
-  unsigned SolverShards = 0;
-
-  /// Solve the GIVE-N-TAKE problems over the compressed universe of
-  /// item equivalence classes (see solveGiveNTakeCompressed). Like
-  /// SolverShards this is an execution strategy with a byte-identity
-  /// contract, so it too is deliberately NOT part of canonical(): a
-  /// compressed and an uncompressed request share one cache entry.
-  bool CompressUniverse = false;
-
   /// Solve the GIVE-N-TAKE problems incrementally when compiling
   /// through a StageCache: the cache keeps, per solve-option set, the
   /// previous solve's loop forest and per-node equation input digests
   /// plus its solved arena, and re-solves only the intervals whose
-  /// inputs an edit changed (dataflow/Incremental.h). Like SolverShards
-  /// and CompressUniverse this is an execution strategy with a
-  /// byte-identity contract — the incrementality-equivalence battery
-  /// pins it — so it too is deliberately NOT part of canonical().
+  /// inputs an edit changed (dataflow/Incremental.h). This is an
+  /// execution strategy with a byte-identity contract — the
+  /// incrementality-equivalence battery pins it — so it is deliberately
+  /// NOT part of canonical(): incremental and cold requests share one
+  /// cache entry.
   /// Ignored when compiling without a StageCache.
   bool Incremental = false;
 
@@ -148,12 +134,11 @@ struct PipelineOptions {
   /// "reaching") or a full spec text (analysis/SpecLang.h). Every run
   /// is differential (iterative engine vs arena sweeps) and lands in
   /// PipelineResult::Analyses; failures merge into Diags. Unlike
-  /// SolverShards this changes output, so it IS part of canonical().
+  /// Incremental this changes output, so it IS part of canonical().
   std::vector<std::string> ExtraAnalyses;
 
   /// Stable, human-readable key=value rendering of every knob that can
-  /// change output (SolverShards and CompressUniverse cannot, see
-  /// above, and are excluded).
+  /// change output (Incremental cannot, see above, and is excluded).
   std::string canonical() const;
 };
 
@@ -201,20 +186,6 @@ struct PipelineResult {
 
   /// Last stage that ran (even partially).
   PipelineStage Reached = PipelineStage::Frontend;
-
-  /// Universe-compression accounting summed over the run's solves (two
-  /// in Comm mode with writes, one otherwise). Zero when compression
-  /// was off or the solve stage did not run.
-  unsigned CompressedUniverse = 0; ///< Total original items.
-  unsigned CompressedClasses = 0;  ///< Total classes actually solved.
-
-  /// Classes / universe across the run's solves, or 1.0 when no solve
-  /// ran. Smaller is better; 1.0 means nothing was saved.
-  double compressionRatio() const {
-    return CompressedUniverse == 0
-               ? 1.0
-               : static_cast<double>(CompressedClasses) / CompressedUniverse;
-  }
 
   bool ok() const { return !Diags.hasErrors(); }
 
@@ -264,7 +235,7 @@ std::uint64_t pipelineCacheKey(const std::string &Source,
 /// rendered diagnostics, the annotated program, and the plan's static
 /// placement counts (or the PRE insertion/redundancy counts). Two
 /// compilations of one source through semantically equivalent
-/// configurations — e.g. differing only in SolverShards — must produce
+/// configurations — e.g. differing only in Incremental — must produce
 /// equal signatures; the fuzzer's production-path differential layer
 /// compares these instead of re-walking every artifact.
 std::uint64_t resultSignature(const PipelineResult &R);

@@ -121,8 +121,6 @@ struct SolveArtifact {
   std::shared_ptr<const IntervalArtifact> Interval;
   std::shared_ptr<const CommPlan> Plan;
   std::shared_ptr<const ExprPreResult> Pre;
-  unsigned CompressedUniverse = 0;
-  unsigned CompressedClasses = 0;
 };
 
 /// Incremental-solve state for one solve-option set: the three memo
@@ -217,10 +215,9 @@ public:
 
   /// The subset of PipelineOptions the solve stage actually consumes:
   /// mode, baseline and the comm knobs. Annotate/audit/verify/werror/
-  /// analyses are downstream of the solve; SolverShards /
-  /// CompressUniverse / Incremental are strategy knobs with byte-
-  /// identity contracts. None of those may appear here — they would
-  /// split solves that are provably identical.
+  /// analyses are downstream of the solve; Incremental is a strategy
+  /// knob with a byte-identity contract. None of those may appear here
+  /// — they would split solves that are provably identical.
   static std::string solveOptionsKey(const PipelineOptions &Opts);
 
   /// DiskCache key of one persisted memo slot ("read", "write", "pre").

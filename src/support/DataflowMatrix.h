@@ -44,11 +44,6 @@
 #include <memory>
 #include <new>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define GNT_DATAFLOWMATRIX_HAVE_MMAP 1
-#endif
-
 namespace gnt {
 
 /// Contiguous (row x bit) matrix of dataflow sets.
@@ -65,10 +60,6 @@ public:
   /// Tag requesting an uninitialized arena (see the tagged constructor).
   struct UninitTag {};
   static constexpr UninitTag Uninit{};
-
-  /// Tag requesting a lazily zeroed arena (see the tagged constructor).
-  struct LazyZeroedTag {};
-  static constexpr LazyZeroedTag LazyZeroed{};
 
   DataflowMatrix() = default;
 
@@ -99,45 +90,11 @@ public:
 #endif
   }
 
-  /// Creates the arena zeroed, but lazily: the storage comes straight
-  /// from an anonymous mmap, so pages that are never written are
-  /// backed by the kernel's shared zero page and cost neither a memset
-  /// pass nor physical memory. Worth it only when whole pages stay
-  /// untouched — the compressed solve uses it for the all-bottom
-  /// result, whose matrix is never written at all. Writers that touch
-  /// even a few bytes of every page (rows are typically smaller than a
-  /// page, so any per-row write does) fault the entire mapping and pay
-  /// more than an eager memset; they should use Uninit and assign
-  /// every word. Falls back to an eager zero-fill where mmap is
-  /// unavailable.
-  DataflowMatrix(unsigned NumRows, unsigned NumBits, LazyZeroedTag)
-      : NRows(NumRows), NBits(NumBits),
-        WPerRow((NumBits + WordBits - 1) / WordBits),
-        WStride(padStride(WPerRow)),
-        NWords(static_cast<std::size_t>(NumRows) * WStride) {
-#if GNT_DATAFLOWMATRIX_HAVE_MMAP
-    if (NWords) {
-      void *P = ::mmap(nullptr, NWords * sizeof(Word),
-                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
-                       -1, 0);
-      if (P == MAP_FAILED)
-        throw std::bad_alloc();
-      Words = static_cast<Word *>(P);
-      Mapped = true;
-      return;
-    }
-#endif
-    Words = allocWords(NWords);
-    clear();
-  }
-
   DataflowMatrix(DataflowMatrix &&RHS) noexcept
       : NRows(RHS.NRows), NBits(RHS.NBits), WPerRow(RHS.WPerRow),
-        WStride(RHS.WStride), NWords(RHS.NWords), Words(RHS.Words),
-        Mapped(RHS.Mapped) {
+        WStride(RHS.WStride), NWords(RHS.NWords), Words(RHS.Words) {
     RHS.Words = nullptr;
     RHS.NWords = 0;
-    RHS.Mapped = false;
   }
   DataflowMatrix &operator=(DataflowMatrix &&RHS) noexcept {
     if (this != &RHS) {
@@ -148,10 +105,8 @@ public:
       WStride = RHS.WStride;
       NWords = RHS.NWords;
       Words = RHS.Words;
-      Mapped = RHS.Mapped;
       RHS.Words = nullptr;
       RHS.NWords = 0;
-      RHS.Mapped = false;
     }
     return *this;
   }
@@ -255,13 +210,6 @@ private:
   void release() {
     if (!Words)
       return;
-#if GNT_DATAFLOWMATRIX_HAVE_MMAP
-    if (Mapped) {
-      ::munmap(Words, NWords * sizeof(Word));
-      Words = nullptr;
-      return;
-    }
-#endif
     ::operator delete(Words, std::align_val_t(LaneBytes));
     Words = nullptr;
   }
@@ -272,7 +220,6 @@ private:
   unsigned WStride = 0;
   std::size_t NWords = 0;
   Word *Words = nullptr; ///< Matrix storage; the class is move-only.
-  bool Mapped = false;   ///< Storage came from mmap, not new[].
 };
 
 } // namespace gnt

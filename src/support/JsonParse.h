@@ -13,14 +13,20 @@
 /// Integral numbers are kept exactly (long long); numbers with a
 /// fraction or exponent are kept as double.
 ///
+/// The input comes from remote clients, so the parser never throws and
+/// never recurses without bound: numbers that do not fit their type and
+/// containers nested deeper than JsonMaxDepth are ordinary parse errors.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GNT_SUPPORT_JSONPARSE_H
 #define GNT_SUPPORT_JSONPARSE_H
 
+#include <charconv>
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace gnt {
@@ -66,6 +72,10 @@ struct JsonParseResult {
 
   bool success() const { return Error.empty(); }
 };
+
+/// Deepest array/object nesting the parser accepts. Service requests
+/// nest three levels; the limit bounds the recursion of the descent.
+inline constexpr unsigned JsonMaxDepth = 64;
 
 namespace detail {
 
@@ -115,10 +125,17 @@ private:
       return V;
     }
     char C = Text[Pos];
-    if (C == '{')
-      return parseObject(R);
-    if (C == '[')
-      return parseArray(R);
+    if (C == '{' || C == '[') {
+      if (Depth == JsonMaxDepth) {
+        fail(R, "nesting deeper than " + std::to_string(JsonMaxDepth) +
+                    " levels");
+        return V;
+      }
+      ++Depth;
+      JsonValue Nested = C == '{' ? parseObject(R) : parseArray(R);
+      --Depth;
+      return Nested;
+    }
     if (C == '"') {
       V.K = JsonValue::Kind::String;
       V.S = parseString(R);
@@ -180,12 +197,18 @@ private:
         return V;
       }
     }
-    std::string Tok = Text.substr(Start, Pos - Start);
+    const char *First = Text.data() + Start;
+    const char *Last = Text.data() + Pos;
+    std::from_chars_result Res;
     if (Fractional) {
       V.K = JsonValue::Kind::Double;
-      V.D = std::stod(Tok);
+      Res = std::from_chars(First, Last, V.D);
     } else {
-      V.I = std::stoll(Tok);
+      Res = std::from_chars(First, Last, V.I);
+    }
+    if (Res.ec != std::errc() || Res.ptr != Last) {
+      Pos = Start;
+      fail(R, "number out of range");
     }
     return V;
   }
@@ -342,6 +365,7 @@ private:
 
   const std::string &Text;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< Containers currently open.
 };
 
 } // namespace detail

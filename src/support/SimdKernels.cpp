@@ -16,8 +16,6 @@
 
 #include "support/SimdKernels.h"
 
-#include "support/ItemClasses.h"
-
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -145,43 +143,12 @@ Word fuseTransfer(unsigned W, Word *__restrict Out, const Word *__restrict In,
   return Diff;
 }
 
-bool anyWord(const Word *Src, unsigned SrcWords) {
-  for (unsigned K = 0; K != SrcWords; ++K)
-    if (Src[K])
-      return true;
-  return false;
-}
-
-void expandRowWords(Word *Dst, unsigned DstWords, const Word *Src,
-                    unsigned SrcWords, const ExpandWordOp *Ops,
-                    std::size_t NumOps) {
-  if (!anyWord(Src, SrcWords)) {
-    std::memset(Dst, 0, static_cast<std::size_t>(DstWords) * sizeof(Word));
-    return;
-  }
-  for (std::size_t I = 0; I != NumOps; ++I) {
-    const ExpandWordOp &Op = Ops[I];
-    Word *D = Dst + Op.DstWord;
-    if (Op.SrcWord == ExpandWordOp::ZeroFill) {
-      std::memset(D, 0, static_cast<std::size_t>(Op.NumWords) * sizeof(Word));
-      continue;
-    }
-    const Word *S = Src + Op.SrcWord;
-    if (Op.NumWords > 32) {
-      std::memcpy(D, S, static_cast<std::size_t>(Op.NumWords) * sizeof(Word));
-      continue;
-    }
-    for (unsigned K = 0; K != Op.NumWords; ++K)
-      D[K] = S[K];
-  }
-}
-
 } // namespace sc
 
 const SolverKernels ScalarKernels = {
     "scalar",      sc::rowCopy, sc::rowOr,         sc::rowAnd,
     sc::rowOrAndNot, sc::fuseGiveLoc, sc::fuseS1, sc::fuseS3,
-    sc::fuseS4,    sc::fuseTransfer, sc::expandRowWords,
+    sc::fuseS4,    sc::fuseTransfer,
 };
 
 } // namespace
@@ -360,33 +327,6 @@ GNT_AVX2 Word fuseTransfer(unsigned W, Word *Out, const Word *In,
   return D;
 }
 
-GNT_AVX2 void expandRowWords(Word *Dst, unsigned DstWords, const Word *Src,
-                             unsigned SrcWords, const ExpandWordOp *Ops,
-                             std::size_t NumOps) {
-  if (!sc::anyWord(Src, SrcWords)) {
-    std::memset(Dst, 0, static_cast<std::size_t>(DstWords) * sizeof(Word));
-    return;
-  }
-  const __m256i Zero = _mm256_setzero_si256();
-  for (std::size_t I = 0; I != NumOps; ++I) {
-    const ExpandWordOp &Op = Ops[I];
-    Word *D = Dst + Op.DstWord;
-    unsigned K = 0;
-    if (Op.SrcWord == ExpandWordOp::ZeroFill) {
-      for (; K + 4 <= Op.NumWords; K += 4)
-        st(D + K, Zero);
-      for (; K != Op.NumWords; ++K)
-        D[K] = 0;
-      continue;
-    }
-    const Word *S = Src + Op.SrcWord;
-    for (; K + 4 <= Op.NumWords; K += 4)
-      st(D + K, ld(S + K));
-    for (; K != Op.NumWords; ++K)
-      D[K] = S[K];
-  }
-}
-
 #undef GNT_AVX2
 
 } // namespace v2
@@ -394,7 +334,7 @@ GNT_AVX2 void expandRowWords(Word *Dst, unsigned DstWords, const Word *Src,
 const SolverKernels Avx2Kernels = {
     "avx2",        v2::rowCopy, v2::rowOr,         v2::rowAnd,
     v2::rowOrAndNot, v2::fuseGiveLoc, v2::fuseS1, v2::fuseS3,
-    v2::fuseS4,    v2::fuseTransfer, v2::expandRowWords,
+    v2::fuseS4,    v2::fuseTransfer,
 };
 
 namespace v5 {
@@ -560,33 +500,6 @@ GNT_AVX512 Word fuseTransfer(unsigned W, Word *Out, const Word *In,
   return D;
 }
 
-GNT_AVX512 void expandRowWords(Word *Dst, unsigned DstWords, const Word *Src,
-                               unsigned SrcWords, const ExpandWordOp *Ops,
-                               std::size_t NumOps) {
-  if (!sc::anyWord(Src, SrcWords)) {
-    std::memset(Dst, 0, static_cast<std::size_t>(DstWords) * sizeof(Word));
-    return;
-  }
-  const __m512i Zero = _mm512_setzero_si512();
-  for (std::size_t I = 0; I != NumOps; ++I) {
-    const ExpandWordOp &Op = Ops[I];
-    Word *D = Dst + Op.DstWord;
-    unsigned K = 0;
-    if (Op.SrcWord == ExpandWordOp::ZeroFill) {
-      for (; K + 8 <= Op.NumWords; K += 8)
-        st(D + K, Zero);
-      for (; K != Op.NumWords; ++K)
-        D[K] = 0;
-      continue;
-    }
-    const Word *S = Src + Op.SrcWord;
-    for (; K + 8 <= Op.NumWords; K += 8)
-      st(D + K, ld(S + K));
-    for (; K != Op.NumWords; ++K)
-      D[K] = S[K];
-  }
-}
-
 #undef GNT_AVX512
 
 } // namespace v5
@@ -594,7 +507,7 @@ GNT_AVX512 void expandRowWords(Word *Dst, unsigned DstWords, const Word *Src,
 const SolverKernels Avx512Kernels = {
     "avx512",      v5::rowCopy, v5::rowOr,         v5::rowAnd,
     v5::rowOrAndNot, v5::fuseGiveLoc, v5::fuseS1, v5::fuseS3,
-    v5::fuseS4,    v5::fuseTransfer, v5::expandRowWords,
+    v5::fuseS4,    v5::fuseTransfer,
 };
 
 } // namespace
@@ -760,7 +673,7 @@ Word fuseTransfer(unsigned W, Word *Out, const Word *In, const Word *Gen,
 const SolverKernels NeonKernels = {
     "neon",        vn::rowCopy, vn::rowOr,         vn::rowAnd,
     vn::rowOrAndNot, vn::fuseGiveLoc, vn::fuseS1, vn::fuseS3,
-    vn::fuseS4,    vn::fuseTransfer, sc::expandRowWords,
+    vn::fuseS4,    vn::fuseTransfer,
 };
 
 } // namespace

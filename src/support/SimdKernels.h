@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The solver's hot loops — the row primitives, the fused S1/S3/S4
-/// sweeps, Eq. 9's fuseGiveLoc, the spec-compiled gen/kill transfer,
-/// and the ItemClasses whole-word expansion program — behind one
-/// registry of function pointers with explicit-SIMD variants. The
+/// sweeps, Eq. 9's fuseGiveLoc, and the spec-compiled gen/kill
+/// transfer — behind one registry of function pointers with explicit-SIMD variants. The
 /// default build carries no architecture flags, so the compiler's
 /// auto-vectorization of those loops bottoms out at the baseline ISA
 /// (SSE2 on x86-64); the variants here are hand-written with AVX2 /
@@ -47,8 +46,6 @@
 #include <vector>
 
 namespace gnt {
-
-struct ExpandWordOp; // support/ItemClasses.h
 
 /// One selectable set of solver kernels. All pointers are always
 /// non-null; `Name` is the stable identifier used by `GNT_KERNEL`,
@@ -100,13 +97,6 @@ struct SolverKernels {
   /// detection for free.
   Word (*FuseTransfer)(unsigned W, Word *Out, const Word *In, const Word *Gen,
                        const Word *Kill);
-
-  /// Executes a compiled ItemClasses whole-word expansion program
-  /// (same semantics as expandRowWords in support/ItemClasses.h,
-  /// including the all-zero-source memset fast path).
-  void (*ExpandRowWords)(Word *Dst, unsigned DstWords, const Word *Src,
-                         unsigned SrcWords, const ExpandWordOp *Ops,
-                         std::size_t NumOps);
 };
 
 /// The process-wide selected kernel set. First call resolves the

@@ -159,7 +159,7 @@ TEST(BitVector, RandomizedAgainstReferenceModel) {
 // Tail-word edge cases: sizes that are not a multiple of 64
 //===----------------------------------------------------------------------===//
 //
-// The sharded solver and the DataflowMatrix arena depend on the
+// The solver and its DataflowMatrix arena depend on the
 // tail-word invariant (bits beyond size() in the last word stay zero)
 // holding through every mutation path; these tests pin the awkward
 // sizes: 1, 63, 65, 127 and the word boundary itself.

@@ -78,7 +78,7 @@ TEST(DataflowMatrix, UninitArenaIsUsableOnceEveryRowIsWritten) {
   // The Uninit tag's contract: rows hold garbage until assigned, and a
   // writer that assigns (or zeroes) every row gets a fully defined
   // matrix with the tail-word invariant intact. This is the pattern of
-  // both the solver export and the compressed-expansion path.
+  // the solver export.
   for (unsigned Bits : {1u, 63u, 64u, 65u, 130u, 200u}) {
     DataflowMatrix M(6, Bits, DataflowMatrix::Uninit);
     BitVector Odd(Bits);
@@ -101,23 +101,8 @@ TEST(DataflowMatrix, UninitArenaIsUsableOnceEveryRowIsWritten) {
   }
 }
 
-TEST(DataflowMatrix, LazyZeroedReadsAsZeroAndAcceptsWrites) {
-  // The lazily zeroed arena must be indistinguishable from an eagerly
-  // cleared one: all-zero rows on first read (at widths exercising the
-  // tail word both full and partial), and ordinary writes afterwards.
-  for (unsigned Bits : {1u, 63u, 64u, 65u, 130u, 4096u}) {
-    DataflowMatrix M(4, Bits, DataflowMatrix::LazyZeroed);
-    for (unsigned R = 0; R != 4; ++R)
-      EXPECT_TRUE(M.rowNone(R)) << "bits " << Bits << " row " << R;
-    M.setRow(2);
-    EXPECT_EQ(M.extractRow(2).count(), Bits) << "bits " << Bits;
-    EXPECT_TRUE(M.rowNone(1)) << "bits " << Bits;
-    EXPECT_TRUE(M.rowNone(3)) << "bits " << Bits;
-  }
-}
-
 TEST(DataflowMatrix, MoveTransfersMappedStorage) {
-  DataflowMatrix A(3, 4096, DataflowMatrix::LazyZeroed);
+  DataflowMatrix A(3, 4096);
   A.setRow(1);
   DataflowMatrix B(std::move(A));
   EXPECT_EQ(B.extractRow(1).count(), 4096u);

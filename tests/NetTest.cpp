@@ -347,6 +347,9 @@ TEST(NetFramingTest, MalformedFrameMatchesStdioErrorBytes) {
       "{\"id\":\"x\",\"source\":12}",
       "{\"id\":\"y\"}",
       "[1,2,3]",
+      "{\"options\":{\"atomic\":99999999999999999999}}",
+      "{\"x\":1e999}",
+      std::string(200000, '['),
   };
 
   // The stdio batch reference for the same garbage.
@@ -359,11 +362,17 @@ TEST(NetFramingTest, MalformedFrameMatchesStdioErrorBytes) {
   std::string Payload;
   for (const std::string &Line : Garbage)
     Payload += Line + "\n";
+  // The server survives every one of them and answers the next frame.
+  Payload += requestLine("after", seededSource(0, 1, 8)) + "\n";
   ASSERT_TRUE(C.send(Payload));
   C.finishSending();
 
   std::vector<std::string> Lines = splitLines(C.recvAll());
-  ASSERT_EQ(Lines.size(), Garbage.size());
+  ASSERT_EQ(Lines.size(), Garbage.size() + 1);
+  EXPECT_NE(Lines.back().find("\"id\":\"after\",\"result\":{\"ok\":true"),
+            std::string::npos)
+      << Lines.back();
+  Lines.pop_back();
   for (unsigned I = 0; I < Lines.size(); ++I) {
     // Socket ids are c<conn>-<seq>; normalize both to compare payloads.
     std::string Got = Lines[I].substr(Lines[I].find(",\"result\""));
@@ -372,6 +381,29 @@ TEST(NetFramingTest, MalformedFrameMatchesStdioErrorBytes) {
     EXPECT_EQ(Got, Want) << Garbage[I];
   }
   EXPECT_EQ(Server->metrics().Malformed.load(), Garbage.size());
+  Server->requestDrain();
+  Server->join();
+}
+
+TEST(NetFramingTest, FileRequestsAreRejected) {
+  // Only batch mode reads `file` paths; a socket client gets a
+  // structured error that says nothing about the path, and the
+  // connection keeps serving.
+  auto Server = startServer(/*Workers=*/1);
+  TestClient C;
+  ASSERT_TRUE(C.dial(Server->port()));
+  ASSERT_TRUE(C.send("{\"id\":\"f\",\"file\":\"examples/fm/fig11.fm\"}\n" +
+                     requestLine("s", seededSource(0, 1, 8)) + "\n"));
+  C.finishSending();
+  std::vector<std::string> Lines = splitLines(C.recvAll());
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_NE(Lines[0].find("\"id\":\"f\",\"result\":{\"ok\":false"),
+            std::string::npos)
+      << Lines[0];
+  EXPECT_NE(Lines[0].find("not served over a socket"), std::string::npos);
+  EXPECT_NE(Lines[1].find("\"id\":\"s\",\"result\":{\"ok\":true"),
+            std::string::npos)
+      << Lines[1];
   Server->requestDrain();
   Server->join();
 }

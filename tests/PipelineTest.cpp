@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/Pipeline.h"
+#include "service/StageCache.h"
 
 #include "baseline/Baselines.h"
 #include "cfg/CfgBuilder.h"
@@ -208,55 +209,6 @@ TEST(Pipeline, CacheKeySeparatesSourceFromOptions) {
   EXPECT_NE(pipelineCacheKey("p", A), pipelineCacheKey("p", B));
 }
 
-TEST(Pipeline, SolverShardsDoNotChangeOutputOrCacheKey) {
-  // The shard-invariance contract surfaces here twice: compiled output
-  // must be byte-identical for every shard count, and the cache key must
-  // not see the knob at all (so sharded and serial requests share one
-  // cache entry).
-  PipelineOptions Serial;
-  Serial.Audit = true;
-  PipelineResult Base = compilePipeline(kBranchSource, Serial);
-  ASSERT_TRUE(Base.ok()) << Base.Diags.renderText();
-  for (unsigned Shards : {1u, 2u, 7u, 64u}) {
-    PipelineOptions Opts = Serial;
-    Opts.SolverShards = Shards;
-    EXPECT_EQ(Opts.canonical(), Serial.canonical()) << "shards " << Shards;
-    EXPECT_EQ(pipelineCacheKey(kBranchSource, Opts),
-              pipelineCacheKey(kBranchSource, Serial))
-        << "shards " << Shards;
-    PipelineResult R = compilePipeline(kBranchSource, Opts);
-    EXPECT_EQ(R.Annotated, Base.Annotated) << "shards " << Shards;
-    EXPECT_EQ(R.Diags.renderJson(), Base.Diags.renderJson())
-        << "shards " << Shards;
-  }
-}
-
-TEST(Pipeline, CompressUniverseDoesNotChangeOutputOrCacheKey) {
-  // Same contract as SolverShards, for the universe-compression layer:
-  // identical compiled output, identical cache key, and the two knobs
-  // must compose without becoming visible.
-  PipelineOptions Plain;
-  Plain.Audit = true;
-  PipelineResult Base = compilePipeline(kBranchSource, Plain);
-  ASSERT_TRUE(Base.ok()) << Base.Diags.renderText();
-  for (unsigned Shards : {0u, 7u}) {
-    PipelineOptions Opts = Plain;
-    Opts.CompressUniverse = true;
-    Opts.SolverShards = Shards;
-    EXPECT_EQ(Opts.canonical(), Plain.canonical()) << "shards " << Shards;
-    EXPECT_EQ(pipelineCacheKey(kBranchSource, Opts),
-              pipelineCacheKey(kBranchSource, Plain))
-        << "shards " << Shards;
-    PipelineResult R = compilePipeline(kBranchSource, Opts);
-    EXPECT_EQ(R.Annotated, Base.Annotated) << "shards " << Shards;
-    EXPECT_EQ(R.Diags.renderJson(), Base.Diags.renderJson())
-        << "shards " << Shards;
-  }
-  // The uncompressed run reports no compression accounting.
-  EXPECT_EQ(Base.CompressedUniverse, 0u);
-  EXPECT_EQ(Base.compressionRatio(), 1.0);
-}
-
 TEST(Pipeline, CacheKeyAuditSeparatesStrategyFromSemantics) {
   // The audit behind the service cache: every solver-strategy knob must
   // leave the cache key untouched (requests differing only in strategy
@@ -269,35 +221,12 @@ TEST(Pipeline, CacheKeyAuditSeparatesStrategyFromSemantics) {
   // Strategy knobs: cache hit expected.
   std::vector<std::pair<const char *, PipelineOptions>> Strategy;
   {
-    PipelineOptions O;
-    O.SolverShards = 16;
-    Strategy.emplace_back("solver_shards", O);
-  }
-  {
-    PipelineOptions O;
-    O.CompressUniverse = true;
-    Strategy.emplace_back("compress_universe", O);
-  }
-  {
-    PipelineOptions O;
-    O.SolverShards = 7;
-    O.CompressUniverse = true;
-    Strategy.emplace_back("both strategies", O);
-  }
-  {
     // The incrementality-equivalence battery pins incremental output
     // byte-identical to a cold solve, which is what licenses sharing a
     // cache entry with non-incremental requests.
     PipelineOptions O;
     O.Incremental = true;
     Strategy.emplace_back("incremental", O);
-  }
-  {
-    PipelineOptions O;
-    O.Incremental = true;
-    O.SolverShards = 7;
-    O.CompressUniverse = true;
-    Strategy.emplace_back("incremental + both strategies", O);
   }
   for (const auto &[Name, O] : Strategy) {
     EXPECT_EQ(O.canonical(), Def.canonical()) << Name;
@@ -391,11 +320,12 @@ TEST(Pipeline, CacheKeyAuditSeparatesStrategyFromSemantics) {
   }
 }
 
-TEST(Pipeline, ResultSignatureIsShardInvariantAndDiscriminating) {
-  // The fuzzer's production-path differential compares resultSignature()
+TEST(Pipeline, ResultSignatureIsStrategyInvariantAndDiscriminating) {
+  // The fuzzer's incremental differential compares resultSignature()
   // instead of re-walking every artifact, so the signature must be equal
-  // across shard counts even when the compilation carries diagnostics
-  // (here: jump poisoning makes the audit emit O1 conservatism notes).
+  // between cold and stage-cached incremental compiles even when the
+  // compilation carries diagnostics (here: jump poisoning makes the
+  // audit emit O1 conservatism notes).
   const char *JumpSource = R"(
 distribute x
 array a, w, z
@@ -413,12 +343,12 @@ enddo
   PipelineResult Base = compilePipeline(JumpSource, Serial);
   ASSERT_TRUE(Base.ok()) << Base.Diags.renderText();
   std::uint64_t Sig = resultSignature(Base);
-  for (unsigned Shards : {2u, 7u, 64u}) {
-    PipelineOptions Opts = Serial;
-    Opts.SolverShards = Shards;
-    PipelineResult R = compilePipeline(JumpSource, Opts);
-    EXPECT_EQ(resultSignature(R), Sig) << "shards " << Shards;
-  }
+  PipelineOptions Inc = Serial;
+  Inc.Incremental = true;
+  StageCache Warm;
+  for (unsigned Round = 0; Round != 2; ++Round)
+    EXPECT_EQ(resultSignature(Pipeline(Inc).compile(JumpSource, &Warm)), Sig)
+        << "round " << Round;
 
   // ... while still separating genuinely different outcomes: another
   // source, and the same source through PRE (different plan summary).

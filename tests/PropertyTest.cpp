@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 using namespace gnt;
@@ -155,16 +156,21 @@ TEST_P(RandomPrograms, OptionCombinationsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, ::testing::Range(1u, 31u));
 
 //===----------------------------------------------------------------------===//
-// Shard invariance and arena/classic differential
+// Lane independence and arena/classic differential
 //===----------------------------------------------------------------------===//
 //
 // 100 seeds x 2 goto probabilities = 200 random programs, each solved
 // for both problem directions (READ is BEFORE, WRITE is AFTER with jump
 // poisoning). Every GntResult field — the ten Figure 13 variables plus
-// both EAGER and LAZY placements — must be byte-identical across shard
-// counts and between the arena solver and the classic per-equation
-// oracle. This is the hard contract that lets PipelineOptions exclude
-// SolverShards from the service cache key.
+// both EAGER and LAZY placements — must be byte-identical between the
+// arena solver and the classic per-equation oracle, under every SIMD
+// kernel variant. Because every equation is a bitwise AND/OR/ANDNOT, an
+// item's solution is also a function of its own init column alone: a
+// problem cut down to any subset of the items (a shard of the universe)
+// or to one representative per distinct column must reproduce exactly
+// the matching columns of the full solve. (The suite keeps its
+// historical name; the sharded and compressed solvers it once checked
+// are gone, the lane property they relied on is still checked here.)
 
 namespace {
 
@@ -178,6 +184,99 @@ gntFields(const GntResult &R) {
     Out.emplace_back(Name, &V);
   });
   return Out;
+}
+
+/// \p P restricted to \p Items, in that order: lane K of the result is
+/// item Items[K] of \p P.
+GntProblem selectItems(const GntProblem &P,
+                       const std::vector<unsigned> &Items) {
+  const unsigned N = static_cast<unsigned>(P.TakeInit.size());
+  GntProblem Sub(N, static_cast<unsigned>(Items.size()), P.Dir);
+  Sub.NoHoistHeaders = P.NoHoistHeaders;
+  for (unsigned Node = 0; Node != N; ++Node)
+    for (unsigned K = 0; K != Items.size(); ++K) {
+      if (P.TakeInit[Node].test(Items[K]))
+        Sub.TakeInit[Node].set(K);
+      if (P.GiveInit[Node].test(Items[K]))
+        Sub.GiveInit[Node].set(K);
+      if (P.StealInit[Node].test(Items[K]))
+        Sub.StealInit[Node].set(K);
+    }
+  return Sub;
+}
+
+/// Expects bit Item of every field row of \p Full to equal bit Lane of
+/// the same row of \p Sub, for every (Item, Lane) pair of \p Lanes.
+void expectLanesMatch(const GntResult &Full, const GntResult &Sub,
+                      const std::vector<std::pair<unsigned, unsigned>> &Lanes,
+                      const char *Problem, const std::string &How) {
+  auto A = gntFields(Full);
+  auto B = gntFields(Sub);
+  for (std::size_t F = 0; F != A.size(); ++F)
+    for (std::size_t N = 0; N != A[F].second->size(); ++N)
+      for (const auto &[Item, Lane] : Lanes)
+        if ((*A[F].second)[N].test(Item) != (*B[F].second)[N].test(Lane)) {
+          ADD_FAILURE() << Problem << " " << A[F].first << " node " << N
+                        << " item " << Item << " (" << How << ")";
+          return;
+        }
+}
+
+/// Solves \p Run's oriented problem cut into \p Shards contiguous item
+/// ranges, each on its own, and compares every range with the full
+/// solve.
+void expectShardsMatch(const GntRun &Run, unsigned Shards,
+                       const char *Problem, const std::string &How) {
+  const unsigned U = Run.OrientedProblem.UniverseSize;
+  for (unsigned S = 0; S != Shards; ++S) {
+    std::vector<unsigned> Items;
+    std::vector<std::pair<unsigned, unsigned>> Lanes;
+    for (unsigned Item = U * S / Shards; Item != U * (S + 1) / Shards;
+         ++Item) {
+      Lanes.emplace_back(Item, static_cast<unsigned>(Items.size()));
+      Items.push_back(Item);
+    }
+    GntResult Sub = solveGiveNTake(Run.OrientedIfg,
+                                   selectItems(Run.OrientedProblem, Items));
+    expectLanesMatch(Run.Result, Sub, Lanes, Problem,
+                     How + " shard " + std::to_string(S));
+  }
+}
+
+/// Solves \p Run's oriented problem over one representative item per
+/// distinct (TAKE, GIVE, STEAL) init column and compares every item
+/// with its representative's lane; items whose column is empty must
+/// be bottom in every variable.
+void expectDedupedMatches(const GntRun &Run, const char *Problem,
+                          const std::string &How) {
+  const GntProblem &P = Run.OrientedProblem;
+  std::map<std::string, unsigned> LaneOf;
+  std::vector<unsigned> Reps;
+  std::vector<std::pair<unsigned, unsigned>> Lanes;
+  std::vector<unsigned> Empty;
+  for (unsigned Item = 0; Item != P.UniverseSize; ++Item) {
+    std::string Column;
+    for (const std::vector<BitVector> *Init :
+         {&P.TakeInit, &P.GiveInit, &P.StealInit})
+      for (const BitVector &Row : *Init)
+        Column += Row.test(Item) ? '1' : '0';
+    if (Column.find('1') == std::string::npos)
+      Empty.push_back(Item);
+    auto [It, New] =
+        LaneOf.try_emplace(Column, static_cast<unsigned>(Reps.size()));
+    if (New)
+      Reps.push_back(Item);
+    Lanes.emplace_back(Item, It->second);
+  }
+  GntResult Sub =
+      solveGiveNTake(Run.OrientedIfg, selectItems(P, Reps));
+  expectLanesMatch(Run.Result, Sub, Lanes, Problem, How + " deduped");
+  for (const auto &[Name, Field] : gntFields(Run.Result))
+    for (std::size_t N = 0; N != Field->size(); ++N)
+      for (unsigned Item : Empty)
+        EXPECT_FALSE((*Field)[N].test(Item))
+            << Problem << " " << Name << " node " << N << " empty item "
+            << Item << " (" << How << ")";
 }
 
 void expectResultsIdentical(const GntResult &Want, const GntResult &Got,
@@ -197,7 +296,8 @@ void expectResultsIdentical(const GntResult &Want, const GntResult &Got,
 
 } // namespace
 
-/// Solving at any shard count reproduces the serial solve bit for bit.
+/// Solving any contiguous range of items on its own reproduces the
+/// matching columns of the full solve bit for bit.
 TEST_P(ShardInvariance, ShardedSolveMatchesSerial) {
   for (double GotoProb : {0.1, 0.0}) {
     auto B = buildProgram(makeProgram(GetParam(), 40, GotoProb));
@@ -209,10 +309,8 @@ TEST_P(ShardInvariance, ShardedSolveMatchesSerial) {
     for (unsigned Shards : {1u, 2u, 7u, std::max(Items, 1u)}) {
       std::string How = "goto=" + std::to_string(GotoProb) +
                         " shards=" + std::to_string(Shards);
-      GntRun R = runGiveNTake(B->Ifg, Plan.ReadProblem, Shards);
-      expectResultsIdentical(Plan.ReadRun->Result, R.Result, "READ", How);
-      GntRun W = runGiveNTake(B->Ifg, Plan.WriteProblem, Shards);
-      expectResultsIdentical(Plan.WriteRun->Result, W.Result, "WRITE", How);
+      expectShardsMatch(*Plan.ReadRun, Shards, "READ", How);
+      expectShardsMatch(*Plan.WriteRun, Shards, "WRITE", How);
     }
   }
 }
@@ -237,13 +335,9 @@ TEST_P(ShardInvariance, ArenaMatchesClassicOracle) {
   }
 }
 
-/// Universe compression is the third solver strategy under the same
-/// byte-identity contract: for every program, solving with compression
-/// on and off, serial and sharded, must agree in all 20 dataflow
-/// variables — and the production pipeline's resultSignature must be
-/// blind to the knob. Compression decides per problem whether it pays
-/// (the profitability gate), so across 100 random programs this covers
-/// applied, fallback and all-bottom paths alike.
+/// Items with identical init columns have identical solutions: the
+/// problem deduplicated to one representative per column reproduces
+/// the full solve, and never-touched items solve to bottom.
 TEST_P(ShardInvariance, CompressedSolveMatchesSerial) {
   for (double GotoProb : {0.1, 0.0}) {
     auto B = buildProgram(makeProgram(GetParam(), 40, GotoProb));
@@ -251,52 +345,41 @@ TEST_P(ShardInvariance, CompressedSolveMatchesSerial) {
     CommPlan Plan = generateComm(B->Prog, B->G, B->Ifg);
     ASSERT_TRUE(Plan.ReadRun.has_value());
     ASSERT_TRUE(Plan.WriteRun.has_value());
-    for (unsigned Shards : {1u, 7u}) {
-      std::string How = "goto=" + std::to_string(GotoProb) + " shards=" +
-                        std::to_string(Shards) + " compressed";
-      GntRun R = runGiveNTake(B->Ifg, Plan.ReadProblem, Shards,
-                              /*CompressUniverse=*/true);
-      expectResultsIdentical(Plan.ReadRun->Result, R.Result, "READ", How);
-      GntRun W = runGiveNTake(B->Ifg, Plan.WriteProblem, Shards,
-                              /*CompressUniverse=*/true);
-      expectResultsIdentical(Plan.WriteRun->Result, W.Result, "WRITE", How);
-    }
+    std::string How = "goto=" + std::to_string(GotoProb);
+    expectDedupedMatches(*Plan.ReadRun, "READ", How);
+    expectDedupedMatches(*Plan.WriteRun, "WRITE", How);
   }
 }
 
-/// The pipeline-level contract behind the shared cache entry: source
-/// compiled with and without universe compression produces the same
-/// result signature (and therefore the same rendered output).
+/// The column property on the production pipeline: every solve behind
+/// an audited compile — the READ/WRITE runs and the PRE run over the
+/// expression universe — is reproduced by its deduplicated problem, so
+/// the rendered output and its resultSignature depend only on the
+/// distinct item columns.
 TEST_P(ShardInvariance, CompressionIsInvisibleInResultSignature) {
   std::string Source = AstPrinter().print(makeProgram(GetParam(), 30));
-  PipelineOptions Plain;
-  Plain.Audit = true;
-  PipelineResult Base = compilePipeline(Source, Plain);
-  ASSERT_TRUE(Base.ok()) << Base.Diags.renderText();
-  for (unsigned Shards : {0u, 7u}) {
-    PipelineOptions Opts = Plain;
-    Opts.CompressUniverse = true;
-    Opts.SolverShards = Shards;
-    PipelineResult R = compilePipeline(Source, Opts);
-    EXPECT_EQ(resultSignature(R), resultSignature(Base))
-        << "shards " << Shards;
-    EXPECT_EQ(R.Annotated, Base.Annotated) << "shards " << Shards;
-    // The knob must still *report*: a compressed run carries the
-    // accounting that feeds the metrics' compression ratio.
-    if (R.Plan && R.Plan->ReadProblem.UniverseSize > 0) {
-      EXPECT_GT(R.CompressedUniverse, 0u) << "shards " << Shards;
-    }
-    EXPECT_LE(R.compressionRatio(), 1.0) << "shards " << Shards;
-  }
+  PipelineOptions Comm;
+  Comm.Audit = true;
+  PipelineResult R = compilePipeline(Source, Comm);
+  ASSERT_TRUE(R.ok()) << R.Diags.renderText();
+  ASSERT_TRUE(R.Plan != nullptr);
+  ASSERT_TRUE(R.Plan->ReadRun.has_value());
+  expectDedupedMatches(*R.Plan->ReadRun, "READ", "pipeline");
+  if (R.Plan->WriteRun)
+    expectDedupedMatches(*R.Plan->WriteRun, "WRITE", "pipeline");
+  PipelineOptions Pre = Comm;
+  Pre.Mode = PipelineMode::Pre;
+  PipelineResult PR = compilePipeline(Source, Pre);
+  ASSERT_TRUE(PR.ok()) << PR.Diags.renderText();
+  expectDedupedMatches(PR.Pre->Run, "PRE", "pipeline");
+  EXPECT_EQ(resultSignature(compilePipeline(Source, Comm)),
+            resultSignature(R));
 }
 
-/// The full strategy grid: every SIMD kernel variant this machine can
-/// run x {1, 2, 7, 16} shards x compression on/off x work stealing
-/// on/off, every cell byte-compared against the classic per-equation
-/// oracle. The kernel registry, the lane-padded arena, the word-window
-/// partition, the oversplit stealing scheduler, and the class
-/// compression all sit below this contract; a divergence in any one of
-/// them fails with the exact cell named.
+/// Every SIMD kernel variant this machine can run, byte-compared
+/// against the classic per-equation oracle. The kernel registry and
+/// the lane-padded arena sit below this contract; a divergence fails
+/// with the kernel named.
 TEST_P(ShardInvariance, KernelShardCompressStealGridMatchesClassic) {
   auto B = buildProgram(makeProgram(GetParam(), 40, 0.1));
   ASSERT_TRUE(B.has_value());
@@ -310,27 +393,9 @@ TEST_P(ShardInvariance, KernelShardCompressStealGridMatchesClassic) {
         solveGiveNTakeClassic(Run.OrientedIfg, Run.OrientedProblem);
     for (const SolverKernels *K : availableSolverKernels()) {
       detail::ScopedKernelOverride Force(*K);
-      for (unsigned Shards : {1u, 2u, 7u, 16u}) {
-        for (bool Compress : {false, true}) {
-          for (bool Steal : {false, true}) {
-            GntShardPolicy Policy;
-            Policy.WorkStealing = Steal;
-            std::string How = std::string("kernel=") + K->Name +
-                              " shards=" + std::to_string(Shards) +
-                              (Compress ? " compressed" : "") +
-                              (Steal ? " steal" : " static");
-            GntResult Got =
-                Compress
-                    ? solveGiveNTakeCompressed(Run.OrientedIfg,
-                                               Run.OrientedProblem, Shards,
-                                               &Policy)
-                    : solveGiveNTakeSharded(Run.OrientedIfg,
-                                            Run.OrientedProblem, Shards,
-                                            Policy);
-            expectResultsIdentical(Classic, Got, Problem, How);
-          }
-        }
-      }
+      GntResult Got = solveGiveNTake(Run.OrientedIfg, Run.OrientedProblem);
+      expectResultsIdentical(Classic, Got, Problem,
+                             std::string("kernel=") + K->Name);
     }
   }
 }
@@ -349,8 +414,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardInvariance, ::testing::Range(1u, 101u));
 // each walk an edit script (whitespace-only edit, array rename,
 // structural mutations covering statement insert/delete and loop-body
 // edits, a revert to the base program, and option flips) against one
-// persistent stage cache, under shard counts {1, 7} x universe
-// compression {off, on}.
+// persistent stage cache.
 
 namespace {
 
@@ -445,39 +509,30 @@ void expectRunsIdentical(const PipelineResult &Want,
 } // namespace
 
 /// The battery: every step's incremental compile is byte-identical to a
-/// cold compile, across shard counts and universe compression.
+/// cold compile.
 TEST_P(IncrementalEquivalence, EditSweepMatchesColdCompile) {
-  for (unsigned Shards : {1u, 7u}) {
-    for (bool Compress : {false, true}) {
-      PipelineOptions Base;
-      Base.Annotate = true;
-      Base.Incremental = true;
-      Base.SolverShards = Shards;
-      Base.CompressUniverse = Compress;
-      StageCache Warm; // One warm cache across the whole edit script.
-      for (const EditStep &Step : editScript(GetParam(), Base)) {
-        std::string How = Step.Label + " shards=" + std::to_string(Shards) +
-                          " compress=" + std::to_string(Compress);
-        PipelineResult Inc =
-            gnt::Pipeline(Step.Opts).compile(Step.Source, &Warm);
-        PipelineOptions ColdOpts = Step.Opts;
-        ColdOpts.Incremental = false;
-        PipelineResult Cold = gnt::Pipeline(ColdOpts).compile(Step.Source);
-        EXPECT_EQ(resultSignature(Inc), resultSignature(Cold)) << How;
-        EXPECT_EQ(Inc.Annotated, Cold.Annotated) << How;
-        EXPECT_EQ(renderResultPayload(Inc), renderResultPayload(Cold))
-            << How;
-        expectRunsIdentical(Cold, Inc, How);
-      }
-      // The sweep must actually have exercised the machinery: the
-      // whitespace and revert steps guarantee downstream hits, and
-      // every comm-mode solve ran through the incremental context.
-      StageCacheStats S = Warm.statsSnapshot();
-      EXPECT_GT(S.hits(CacheStage::Cfg), 0u);
-      EXPECT_GT(S.hits(CacheStage::Solve), 0u);
-      EXPECT_TRUE(S.Inc.any());
-    }
+  PipelineOptions Base;
+  Base.Annotate = true;
+  Base.Incremental = true;
+  StageCache Warm; // One warm cache across the whole edit script.
+  for (const EditStep &Step : editScript(GetParam(), Base)) {
+    PipelineResult Inc = gnt::Pipeline(Step.Opts).compile(Step.Source, &Warm);
+    PipelineOptions ColdOpts = Step.Opts;
+    ColdOpts.Incremental = false;
+    PipelineResult Cold = gnt::Pipeline(ColdOpts).compile(Step.Source);
+    EXPECT_EQ(resultSignature(Inc), resultSignature(Cold)) << Step.Label;
+    EXPECT_EQ(Inc.Annotated, Cold.Annotated) << Step.Label;
+    EXPECT_EQ(renderResultPayload(Inc), renderResultPayload(Cold))
+        << Step.Label;
+    expectRunsIdentical(Cold, Inc, Step.Label);
   }
+  // The sweep must actually have exercised the machinery: the
+  // whitespace and revert steps guarantee downstream hits, and every
+  // comm-mode solve ran through the incremental context.
+  StageCacheStats S = Warm.statsSnapshot();
+  EXPECT_GT(S.hits(CacheStage::Cfg), 0u);
+  EXPECT_GT(S.hits(CacheStage::Solve), 0u);
+  EXPECT_TRUE(S.Inc.any());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,

@@ -89,93 +89,64 @@ TEST(ServiceRequest, RejectsMalformedInput) {
       Error));
 }
 
-TEST(ServiceRequest, DecodesSolverShards) {
+// The sharded and universe-compressed solves are gone, and so are the
+// request options that selected them: `solver_shards` and
+// `compress_universe` get the structured error any other unknown option
+// gets.
+
+/// Expects decoding a request with \p Options to fail as an unknown option.
+void expectUnknownOption(const char *Options) {
   ServiceRequest Req;
   std::string Error;
-  ASSERT_TRUE(parseServiceRequest(
-      "{\"source\":\"continue\\n\",\"options\":{\"solver_shards\":7}}", "l",
-      Req, Error))
-      << Error;
-  EXPECT_EQ(Req.Opts.SolverShards, 7u);
+  std::string Line =
+      std::string("{\"source\":\"continue\\n\",\"options\":") + Options + "}";
+  EXPECT_FALSE(parseServiceRequest(Line, "l", Req, Error)) << Options;
+  EXPECT_NE(Error.find("unknown option"), std::string::npos) << Error;
+}
 
-  // Out-of-range and non-integer values are rejected with a pointed
-  // message; booleans and strings are not silently coerced.
-  for (const char *Bad :
-       {"-1", "65537", "true", "\"7\"", "1.5"}) {
-    std::string Line = std::string("{\"source\":\"x\",\"options\":"
-                                   "{\"solver_shards\":") +
-                       Bad + "}}";
-    EXPECT_FALSE(parseServiceRequest(Line, "l", Req, Error)) << Bad;
-    EXPECT_NE(Error.find("solver_shards"), std::string::npos) << Bad;
-  }
+/// Expects the batch server to answer a request with \p Options with an
+/// error payload that never reaches the result cache: the plain request
+/// for the same source compiles once, and its repeat is a hit.
+void expectRejectedBeforeCache(const char *Options) {
+  std::string Request = "{\"source\":\"distribute x\\narray u\\n"
+                        "do i = 1, n\\n  u(i) = x(i)\\nenddo\\n\"";
+  ServiceConfig Serial;
+  Serial.Workers = 0;
+  BatchServer Server(Serial);
+  std::vector<std::string> Out = Server.run({
+      Request + "}",
+      Request + ",\"options\":" + Options + "}",
+      Request + "}",
+  });
+  ASSERT_EQ(Out.size(), 3u);
+  EXPECT_NE(Out[1].find("\"ok\":false"), std::string::npos) << Out[1];
+  EXPECT_NE(Out[1].find("unknown option"), std::string::npos) << Out[1];
+  EXPECT_EQ(Server.metrics().Failed, 1u);
+  EXPECT_EQ(Server.metrics().CacheMisses, 1u);
+  EXPECT_EQ(Server.metrics().CacheHits, 1u);
+  // Same payload modulo the echoed id.
+  EXPECT_EQ(Out[0].substr(Out[0].find("\"result\"")),
+            Out[2].substr(Out[2].find("\"result\"")));
+}
+
+TEST(ServiceRequest, DecodesSolverShards) {
+  for (const char *Options : {"{\"solver_shards\":7}", "{\"solver_shards\":1}",
+                              "{\"solver_shards\":\"7\"}"})
+    expectUnknownOption(Options);
 }
 
 TEST(ServiceRequest, DecodesCompressUniverse) {
-  ServiceRequest Req;
-  std::string Error;
-  ASSERT_TRUE(parseServiceRequest(
-      "{\"source\":\"continue\\n\",\"options\":{\"compress_universe\":true}}",
-      "l", Req, Error))
-      << Error;
-  EXPECT_TRUE(Req.Opts.CompressUniverse);
-  ASSERT_TRUE(parseServiceRequest(
-      "{\"source\":\"continue\\n\",\"options\":{\"compress_universe\":false}}",
-      "l", Req, Error))
-      << Error;
-  EXPECT_FALSE(Req.Opts.CompressUniverse);
-
-  // Like every boolean option, non-bool values are rejected, not
-  // coerced.
-  for (const char *Bad : {"1", "\"true\"", "null"}) {
-    std::string Line = std::string("{\"source\":\"x\",\"options\":"
-                                   "{\"compress_universe\":") +
-                       Bad + "}}";
-    EXPECT_FALSE(parseServiceRequest(Line, "l", Req, Error)) << Bad;
-    EXPECT_NE(Error.find("compress_universe"), std::string::npos) << Bad;
-  }
-}
-
-TEST(BatchServer, CompressUniverseSharesOneCacheEntry) {
-  // Universe compression is an execution strategy like solver_shards:
-  // requests differing only in that knob (or in both strategy knobs)
-  // must resolve to one cache entry with identical payloads.
-  BatchServer Server;
-  std::vector<std::string> Out = Server.run({
-      "{\"id\":\"plain\",\"source\":\"distribute x\\narray u\\n"
-      "do i = 1, n\\n  u(i) = x(i)\\nenddo\\n\"}",
-      "{\"id\":\"compressed\",\"source\":\"distribute x\\narray u\\n"
-      "do i = 1, n\\n  u(i) = x(i)\\nenddo\\n\",\"options\":"
-      "{\"compress_universe\":true}}",
-      "{\"id\":\"both\",\"source\":\"distribute x\\narray u\\n"
-      "do i = 1, n\\n  u(i) = x(i)\\nenddo\\n\",\"options\":"
-      "{\"compress_universe\":true,\"solver_shards\":4}}",
-  });
-  ASSERT_EQ(Out.size(), 3u);
-  EXPECT_EQ(Server.metrics().CacheHits, 2u);
-  EXPECT_EQ(Server.metrics().CacheMisses, 1u);
-  std::string A = Out[0].substr(Out[0].find("\"result\""));
-  for (unsigned I = 1; I != 3; ++I)
-    EXPECT_EQ(A, Out[I].substr(Out[I].find("\"result\""))) << Out[I];
+  for (const char *Options :
+       {"{\"compress_universe\":true}", "{\"compress_universe\":false}"})
+    expectUnknownOption(Options);
 }
 
 TEST(BatchServer, SolverShardsShareOneCacheEntry) {
-  // Two requests differing only in shard count must compile once and
-  // hit the cache on the second, returning identical payloads.
-  BatchServer Server;
-  std::vector<std::string> Out = Server.run({
-      "{\"id\":\"serial\",\"source\":\"distribute x\\narray u\\n"
-      "do i = 1, n\\n  u(i) = x(i)\\nenddo\\n\"}",
-      "{\"id\":\"sharded\",\"source\":\"distribute x\\narray u\\n"
-      "do i = 1, n\\n  u(i) = x(i)\\nenddo\\n\",\"options\":"
-      "{\"solver_shards\":4}}",
-  });
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Server.metrics().CacheHits, 1u);
-  EXPECT_EQ(Server.metrics().CacheMisses, 1u);
-  // Same payload modulo the echoed id.
-  std::string A = Out[0].substr(Out[0].find("\"result\""));
-  std::string B = Out[1].substr(Out[1].find("\"result\""));
-  EXPECT_EQ(A, B);
+  expectRejectedBeforeCache("{\"solver_shards\":4}");
+}
+
+TEST(BatchServer, CompressUniverseSharesOneCacheEntry) {
+  expectRejectedBeforeCache("{\"compress_universe\":true}");
 }
 
 TEST(ResultCache, LruEvictsOldest) {

@@ -15,7 +15,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/ItemClasses.h"
 #include "support/SimdKernels.h"
 
 #include <gtest/gtest.h>
@@ -200,54 +199,6 @@ TEST_F(SimdKernelsTest, FusedSweepsMatchScalar) {
             << "FuseTransfer fixed point";
         (void)RetW;
       }
-    }
-  }
-}
-
-TEST_F(SimdKernelsTest, ExpandRowWordsMatchesScalarAndBitExpansion) {
-  // Random word-aligned expansion programs: tile [0, DstWords) with a
-  // mix of zero-fill gaps and copy runs from a walking source cursor —
-  // the shape compileExpandWordPlan emits.
-  for (const SolverKernels *K : availableSolverKernels()) {
-    SCOPED_TRACE(K->Name);
-    for (unsigned Trial = 0; Trial != 20; ++Trial) {
-      const unsigned DstWords = 1 + static_cast<unsigned>(Rng() % 96);
-      std::vector<ExpandWordOp> Ops;
-      unsigned Dst = 0, Src = 0;
-      while (Dst < DstWords) {
-        unsigned Run = 1 + static_cast<unsigned>(Rng() % 40);
-        Run = std::min(Run, DstWords - Dst);
-        if (Rng() & 1) {
-          Ops.push_back({Dst, ExpandWordOp::ZeroFill, Run});
-        } else {
-          Ops.push_back({Dst, Src, Run});
-          Src += Run;
-        }
-        Dst += Run;
-      }
-      const unsigned SrcWords = std::max(Src, 1u);
-      const std::vector<Word> Source = randomRow(Rng, SrcWords);
-
-      std::vector<Word> Want(DstWords, Word(0xA5A5A5A5A5A5A5A5ull));
-      std::vector<Word> Got = Want;
-      Scalar.ExpandRowWords(Want.data(), DstWords, Source.data(), SrcWords,
-                            Ops.data(), Ops.size());
-      K->ExpandRowWords(Got.data(), DstWords, Source.data(), SrcWords,
-                        Ops.data(), Ops.size());
-      EXPECT_EQ(Want, Got);
-
-      // And against the header implementation the kernels mirror.
-      std::vector<Word> Ref(DstWords, Word(0x5A5A5A5A5A5A5A5Aull));
-      std::vector<ExpandWordOp> OpsVec = Ops;
-      expandRowWords(Ref.data(), DstWords, Source.data(), SrcWords, OpsVec);
-      EXPECT_EQ(Ref, Got);
-
-      // All-zero source must take the memset fast path to the same end.
-      const std::vector<Word> Zero(SrcWords, 0);
-      std::vector<Word> GotZ(DstWords, Word(~0ull));
-      K->ExpandRowWords(GotZ.data(), DstWords, Zero.data(), SrcWords,
-                        Ops.data(), Ops.size());
-      EXPECT_EQ(GotZ, std::vector<Word>(DstWords, 0));
     }
   }
 }

@@ -6,9 +6,8 @@
 ///
 /// Tests for compiling analysis specs onto the production engines: the
 /// three universes, the built-in analyses, the mandatory
-/// iterative-vs-arena differential, strategy invariance (sharding and
-/// universe compression) across a generated-program battery, and the
-/// pipeline/batch-server surfaces.
+/// iterative-vs-arena differential across a generated-program battery,
+/// and the pipeline/batch-server surfaces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +18,7 @@
 #include "gen/RandomProgram.h"
 #include "service/BatchServer.h"
 #include "service/Pipeline.h"
+#include "service/StageCache.h"
 #include "support/Support.h"
 
 #include <gtest/gtest.h>
@@ -36,9 +36,8 @@ int itemIndex(const AnalysisRun &R, const std::string &Prefix) {
   return -1;
 }
 
-AnalysisRun run(const std::string &NameOrText, test::Pipeline &P,
-                unsigned Shards = 0, bool Compress = false) {
-  return runAnalysisSpec(NameOrText, P.Prog, P.G, *P.Ifg, Shards, Compress);
+AnalysisRun run(const std::string &NameOrText, test::Pipeline &P) {
+  return runAnalysisSpec(NameOrText, P.Prog, P.G, *P.Ifg);
 }
 
 } // namespace
@@ -142,26 +141,29 @@ TEST(SpecCompile, MalformedSpecYieldsDiagnosticsNotASolve) {
 }
 
 TEST(SpecCompile, StrategyInvarianceOnFig11) {
+  // The pipeline's remaining execution strategy — an incremental
+  // compile through a stage cache — must not move any analysis bit.
   test::Pipeline P = test::Pipeline::fromSource(fig11Source());
-  for (const auto &[Name, Text] : builtinAnalysisSpecs()) {
-    AnalysisRun Base = run(Name, P);
-    ASSERT_TRUE(Base.ok()) << Name << ":\n" << Base.Diags.renderText();
-    for (unsigned Shards : {7u, 0u}) {
-      for (bool Compress : {false, true}) {
-        AnalysisRun R = run(Name, P, Shards, Compress);
-        ASSERT_TRUE(R.ok()) << Name;
-        EXPECT_EQ(R.solutionHash(), Base.solutionHash())
-            << Name << " shards=" << Shards << " compress=" << Compress;
-        EXPECT_EQ(R.In, Base.In) << Name;
-        EXPECT_EQ(R.Out, Base.Out) << Name;
-      }
-    }
+  PipelineOptions Opts;
+  Opts.Incremental = true;
+  for (const auto &[Name, Text] : builtinAnalysisSpecs())
+    Opts.ExtraAnalyses.push_back(Name);
+  StageCache Warm;
+  PipelineResult R = gnt::Pipeline(Opts).compile(fig11Source(), &Warm);
+  ASSERT_TRUE(R.ok()) << R.Diags.renderText();
+  ASSERT_EQ(R.Analyses.size(), builtinAnalysisSpecs().size());
+  for (const AnalysisRun &Got : R.Analyses) {
+    AnalysisRun Base = run(Got.Name, P);
+    ASSERT_TRUE(Base.ok()) << Got.Name << ":\n" << Base.Diags.renderText();
+    EXPECT_EQ(Got.solutionHash(), Base.solutionHash()) << Got.Name;
+    EXPECT_EQ(Got.In, Base.In) << Got.Name;
+    EXPECT_EQ(Got.Out, Base.Out) << Got.Name;
   }
 }
 
 // The acceptance battery: all four built-ins, byte-identical between
-// the iterative and arena backends (checked inside every run) and
-// hash-identical across the strategy grid, on 100 generated programs.
+// the iterative and arena backends (checked inside every run), on 100
+// generated programs.
 TEST(SpecCompile, ByteIdentityBatteryAcrossGeneratedPrograms) {
   unsigned Solved = 0;
   for (unsigned Seed = 1; Seed <= 100; ++Seed) {
@@ -172,89 +174,13 @@ TEST(SpecCompile, ByteIdentityBatteryAcrossGeneratedPrograms) {
     auto IR = IntervalFlowGraph::build(CR.G);
     ASSERT_TRUE(IR.success()) << "seed " << Seed;
     for (const auto &[Name, Text] : builtinAnalysisSpecs()) {
-      AnalysisRun Base =
-          runAnalysisSpec(Name, Prog, CR.G, *IR.Ifg, 0, false);
+      AnalysisRun Base = runAnalysisSpec(Name, Prog, CR.G, *IR.Ifg);
       ASSERT_TRUE(Base.ok())
           << Name << " seed " << Seed << ":\n" << Base.Diags.renderText();
-      for (const auto &[Shards, Compress] :
-           {std::pair<unsigned, bool>{7, false}, {0, true}, {7, true}}) {
-        AnalysisRun R =
-            runAnalysisSpec(Name, Prog, CR.G, *IR.Ifg, Shards, Compress);
-        ASSERT_TRUE(R.ok()) << Name << " seed " << Seed << " shards="
-                            << Shards << " compress=" << Compress;
-        ASSERT_EQ(R.solutionHash(), Base.solutionHash())
-            << Name << " seed " << Seed << " shards=" << Shards
-            << " compress=" << Compress;
-      }
       ++Solved;
     }
   }
   EXPECT_EQ(Solved, 400u);
-}
-
-TEST(SpecCompile, CompressionAppliesOnDuplicateColumns) {
-  test::Pipeline P = test::Pipeline::fromSource(fig11Source());
-  // Hand-build a compiled analysis whose 64-item universe is 8 distinct
-  // columns repeated 8 times: the class solver must collapse it.
-  CompiledAnalysis C;
-  C.Name = "dup";
-  C.Direction = FlowDirection::Forward;
-  C.Meet = Confluence::Any;
-  C.NumNodes = P.Ifg->size();
-  C.UniverseSize = 64;
-  C.Gen.assign(C.NumNodes, BitVector(64));
-  C.Kill.assign(C.NumNodes, BitVector(64));
-  C.Boundary = BitVector(64);
-  for (unsigned Item = 0; Item != 64; ++Item) {
-    unsigned Family = Item % 8;
-    C.Gen[Family % C.NumNodes].set(Item);
-    if (Family & 1)
-      C.Kill[(Family + 3) % C.NumNodes].set(Item);
-  }
-  for (unsigned I = 0; I != C.UniverseSize; ++I)
-    C.ItemNames.push_back("it" + itostr(I));
-
-  AnalysisRun Plain = runAnalysis(C, *P.Ifg, 0, false);
-  AnalysisRun Compressed = runAnalysis(C, *P.Ifg, 0, true);
-  ASSERT_TRUE(Plain.ok()) << Plain.Diags.renderText();
-  ASSERT_TRUE(Compressed.ok()) << Compressed.Diags.renderText();
-  EXPECT_TRUE(Compressed.Stats.CompressionApplied);
-  EXPECT_LE(Compressed.Stats.CompressedClasses, 8u);
-  EXPECT_EQ(Plain.solutionHash(), Compressed.solutionHash());
-  EXPECT_EQ(Plain.In, Compressed.In);
-  EXPECT_EQ(Plain.Out, Compressed.Out);
-}
-
-TEST(SpecCompile, ElidedItemsUnderAllConfluenceUsePhantomClass) {
-  test::Pipeline P = test::Pipeline::fromSource(fig11Source());
-  // Items 8..63 are never generated, killed, or in the boundary —
-  // elided by the class solver. Under All confluence interior nodes
-  // start at top, so elision is only sound through the phantom class;
-  // the uncompressed solve is the oracle.
-  CompiledAnalysis C;
-  C.Name = "phantom";
-  C.Direction = FlowDirection::Forward;
-  C.Meet = Confluence::All;
-  C.NumNodes = P.Ifg->size();
-  C.UniverseSize = 64;
-  C.Gen.assign(C.NumNodes, BitVector(64));
-  C.Kill.assign(C.NumNodes, BitVector(64));
-  C.Boundary = BitVector(64);
-  for (unsigned Item = 0; Item != 8; ++Item) {
-    C.Gen[Item % C.NumNodes].set(Item);
-    C.Kill[(Item + 5) % C.NumNodes].set(Item);
-  }
-  for (unsigned I = 0; I != C.UniverseSize; ++I)
-    C.ItemNames.push_back("it" + itostr(I));
-
-  AnalysisRun Plain = runAnalysis(C, *P.Ifg, 0, false);
-  AnalysisRun Compressed = runAnalysis(C, *P.Ifg, 0, true);
-  ASSERT_TRUE(Plain.ok()) << Plain.Diags.renderText();
-  ASSERT_TRUE(Compressed.ok()) << Compressed.Diags.renderText();
-  EXPECT_TRUE(Compressed.Stats.CompressionApplied);
-  EXPECT_EQ(Compressed.Stats.ElidedItems, 56u);
-  EXPECT_EQ(Plain.In, Compressed.In);
-  EXPECT_EQ(Plain.Out, Compressed.Out);
 }
 
 TEST(SpecCompile, RenderersCarrySolutionAndStats) {
@@ -299,11 +225,11 @@ TEST(SpecCompile, ExtraAnalysesArePartOfTheCacheKey) {
   EXPECT_NE(Plain.canonical(), WithAnalyses.canonical());
   EXPECT_NE(pipelineCacheKey(fig11Source(), Plain),
             pipelineCacheKey(fig11Source(), WithAnalyses));
-  // Strategy knobs still share one entry, analyses included.
-  PipelineOptions Sharded = WithAnalyses;
-  Sharded.SolverShards = 7;
-  Sharded.CompressUniverse = true;
-  EXPECT_EQ(WithAnalyses.canonical(), Sharded.canonical());
+  // The incremental strategy knob still shares one entry, analyses
+  // included.
+  PipelineOptions Incremental = WithAnalyses;
+  Incremental.Incremental = true;
+  EXPECT_EQ(WithAnalyses.canonical(), Incremental.canonical());
 }
 
 TEST(SpecCompile, BatchServerServesAnalysesDeterministically) {
@@ -320,7 +246,7 @@ TEST(SpecCompile, BatchServerServesAnalysesDeterministically) {
   BatchServer Serial(SerialCfg);
   std::vector<std::string> A = Serial.run({Line("")});
   std::vector<std::string> B =
-      Serial.run({Line(", \"solver_shards\": 7, \"compress_universe\": true")});
+      Serial.run({Line(", \"incremental\": true")});
   ASSERT_EQ(A.size(), 1u);
   ASSERT_EQ(B.size(), 1u);
   // Same id, same payload: the strategy knobs may not change one byte.

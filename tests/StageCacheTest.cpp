@@ -138,9 +138,6 @@ TEST(StageCacheTest, SolveOptionsKeySeparatesStrategyFromSemantics) {
     void (*Apply)(PipelineOptions &);
   };
   const Strategy Strategies[] = {
-      {"solver_shards", [](PipelineOptions &O) { O.SolverShards = 7; }},
-      {"compress_universe",
-       [](PipelineOptions &O) { O.CompressUniverse = true; }},
       {"incremental", [](PipelineOptions &O) { O.Incremental = true; }},
       {"annotate", [](PipelineOptions &O) { O.Annotate = true; }},
       {"audit", [](PipelineOptions &O) { O.Audit = true; }},

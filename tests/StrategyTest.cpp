@@ -7,8 +7,7 @@
 /// The strategy-tournament test battery (DESIGN.md §15):
 ///
 ///  - `balanced` through the strategy dispatcher is byte-identical to
-///    the default pipeline across solver shards and universe
-///    compression, over a 100-seed generated suite;
+///    the default pipeline over a 100-seed generated suite;
 ///  - `speculative` degrades to balanced byte-identically without a
 ///    usable profile, never regresses the expected dynamic message
 ///    cost under the profile that guided it, and strictly beats
@@ -17,8 +16,8 @@
 ///    and never places more dynamic READ messages than the LCM
 ///    baseline;
 ///  - every strategy passes the static auditor's re-checks, is
-///    deterministic across shard counts, compression, and gntd worker
-///    counts, and the strategy/profile knobs split every cache key
+///    deterministic across repeated and stage-cached compiles and gntd
+///    worker counts, and the strategy/profile knobs split every cache key
 ///    (the key-audit halves live in PipelineTest and StageCacheTest).
 ///
 //===----------------------------------------------------------------------===//
@@ -32,6 +31,7 @@
 #include "ir/AstPrinter.h"
 #include "service/BatchServer.h"
 #include "service/Pipeline.h"
+#include "service/StageCache.h"
 #include "sim/TraceSimulator.h"
 
 #include <gtest/gtest.h>
@@ -223,28 +223,18 @@ TEST(Strategy, BalancedIsByteIdenticalToDefaultOver100Seeds) {
     PipelineResult Base = compilePipeline(Source, Def);
     ASSERT_TRUE(Base.ok()) << "seed " << Seed << ": "
                            << Base.Diags.renderText();
-    for (unsigned Shards : {1u, 7u}) {
-      for (bool Compress : {false, true}) {
-        PipelineOptions O;
-        O.Strategy = PlacementStrategy::Balanced;
-        O.SolverShards = Shards;
-        O.CompressUniverse = Compress;
-        PipelineResult R = compilePipeline(Source, O);
-        ASSERT_TRUE(R.ok()) << "seed " << Seed;
-        EXPECT_EQ(R.Annotated, Base.Annotated)
-            << "seed " << Seed << " shards " << Shards << " compress "
-            << Compress;
-        EXPECT_EQ(resultSignature(R), resultSignature(Base))
-            << "seed " << Seed << " shards " << Shards << " compress "
-            << Compress;
-      }
-    }
+    PipelineOptions O;
+    O.Strategy = PlacementStrategy::Balanced;
+    PipelineResult R = compilePipeline(Source, O);
+    ASSERT_TRUE(R.ok()) << "seed " << Seed;
+    EXPECT_EQ(R.Annotated, Base.Annotated) << "seed " << Seed;
+    EXPECT_EQ(resultSignature(R), resultSignature(Base)) << "seed " << Seed;
   }
 }
 
-TEST(Strategy, EveryStrategyIsShardAndCompressionDeterministic) {
-  // The non-balanced strategies route their GNT solves through the same
-  // sharded/compressed backends, so their output must be invariant too.
+TEST(Strategy, EveryStrategyIsDeterministic) {
+  // A fresh compile and a compile through a shared stage cache must
+  // agree byte for byte for every non-balanced strategy.
   for (unsigned Seed : {3u, 11u, 19u, 27u}) {
     std::string Source = AstPrinter().print(makeProgram(Seed));
     std::string Profile;
@@ -266,19 +256,15 @@ TEST(Strategy, EveryStrategyIsShardAndCompressionDeterministic) {
       PipelineResult Base = compilePipeline(Source, Ref);
       ASSERT_TRUE(Base.ok())
           << "seed " << Seed << ": " << Base.Diags.renderText();
-      for (unsigned Shards : {1u, 7u}) {
-        for (bool Compress : {false, true}) {
-          PipelineOptions O = Ref;
-          O.SolverShards = Shards;
-          O.CompressUniverse = Compress;
-          PipelineResult R = compilePipeline(Source, O);
-          ASSERT_TRUE(R.ok()) << "seed " << Seed;
-          EXPECT_EQ(R.Annotated, Base.Annotated)
-              << placementStrategyName(Strat) << " seed " << Seed
-              << " shards " << Shards << " compress " << Compress;
-          EXPECT_EQ(resultSignature(R), resultSignature(Base))
-              << placementStrategyName(Strat) << " seed " << Seed;
-        }
+      StageCache Warm;
+      for (unsigned Round = 0; Round != 2; ++Round) {
+        PipelineResult R = gnt::Pipeline(Ref).compile(Source, &Warm);
+        ASSERT_TRUE(R.ok()) << "seed " << Seed;
+        EXPECT_EQ(R.Annotated, Base.Annotated)
+            << placementStrategyName(Strat) << " seed " << Seed << " round "
+            << Round;
+        EXPECT_EQ(resultSignature(R), resultSignature(Base))
+            << placementStrategyName(Strat) << " seed " << Seed;
       }
     }
   }

@@ -84,6 +84,15 @@ TEST(JsonParse, Errors) {
   EXPECT_FALSE(parseJson("1.").success());
   EXPECT_FALSE(parseJson("-").success());
   EXPECT_FALSE(parseJson("\"\\q\"").success());
+  // Out-of-range numbers and runaway nesting are ordinary parse errors,
+  // never exceptions or a stack overflow.
+  EXPECT_FALSE(parseJson("{\"options\":{\"atomic\":99999999999999999999}}")
+                   .success());
+  EXPECT_FALSE(parseJson("{\"x\":1e999}").success());
+  EXPECT_FALSE(parseJson(std::string(200000, '[')).success());
+  EXPECT_TRUE(parseJson(std::string(JsonMaxDepth, '[') +
+                        std::string(JsonMaxDepth, ']'))
+                  .success());
 
   JsonParseResult P = parseJson("{\"a\": @}");
   EXPECT_FALSE(P.success());

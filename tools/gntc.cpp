@@ -84,13 +84,6 @@ void usage(std::FILE *To) {
       "                    --strategy speculative (`-` for stdin)\n"
       "  --emit-profile    with --simulate: print the run's execution\n"
       "                    profile (gnt-profile-v1) instead of metrics\n"
-      "  --solver-shards N solve the item universe in N word-aligned\n"
-      "                    shards in parallel (output is byte-identical\n"
-      "                    to the serial solve for every N)\n"
-      "  --compress-universe[=off]\n"
-      "                    solve over item equivalence classes instead of\n"
-      "                    the full universe (byte-identical output;\n"
-      "                    =off restores the uncompressed solve)\n"
       "  --incremental     solve through a content-addressed stage cache\n"
       "                    with interval-level incremental re-solving\n"
       "                    (byte-identical output; one-shot runs populate\n"
@@ -147,8 +140,6 @@ const char *const KnownFlags[] = {
     "--owner-computes", "--no-hoist",
     "--baseline",      "--strategy",
     "--profile",       "--emit-profile",
-    "--solver-shards",
-    "--compress-universe", "--compress-universe=off",
     "--incremental",
     "--analyze",       "--analyze-json",
     "--verify",        "--audit",
@@ -247,25 +238,6 @@ bool parseArgs(int Argc, char **Argv, Options &O, int &Exit) {
     } else if (A == "--emit-profile") {
       O.EmitProfile = true;
       O.Pipe.Annotate = false;
-    } else if (A == "--solver-shards") {
-      if (++I == Argc) {
-        std::fprintf(stderr, "gntc: --solver-shards needs a value\n");
-        return false;
-      }
-      char *End = nullptr;
-      long long Shards = std::strtoll(Argv[I], &End, 10);
-      if (End == Argv[I] || *End != '\0' || Shards < 0 || Shards > 65536) {
-        std::fprintf(
-            stderr,
-            "gntc: --solver-shards needs an integer in [0, 65536], got %s\n",
-            Argv[I]);
-        return false;
-      }
-      O.Pipe.SolverShards = static_cast<unsigned>(Shards);
-    } else if (A == "--compress-universe") {
-      O.Pipe.CompressUniverse = true;
-    } else if (A == "--compress-universe=off") {
-      O.Pipe.CompressUniverse = false;
     } else if (A == "--incremental") {
       O.Pipe.Incremental = true;
     } else if (A == "--analyze") {
@@ -504,11 +476,6 @@ int main(int Argc, char **Argv) {
       for (const auto &[Kind, Count] : Counts)
         std::printf(" %s=%u", commOpName(Kind), Count);
       std::printf("\n");
-      if (R.CompressedUniverse > 0)
-        std::printf("! universe compression: %u items -> %u classes "
-                    "(ratio %.3f)\n",
-                    R.CompressedUniverse, R.CompressedClasses,
-                    R.compressionRatio());
     }
 
     if (O.SimulateN >= 0) {
