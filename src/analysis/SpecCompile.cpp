@@ -206,6 +206,21 @@ std::vector<NodeId> sweepOrder(const CompiledAnalysis &C,
   return Order;
 }
 
+/// The gen/kill transfer over one row: Out = (In & ~Kill) | Gen.
+/// Returns the OR of (old ^ new) over Out, so the sweep gets change
+/// detection from the same pass.
+Word fuseTransfer(unsigned W, Word *__restrict Out,
+                  const Word *__restrict In, const Word *__restrict Gen,
+                  const Word *__restrict Kill) {
+  Word Diff = 0;
+  for (unsigned K = 0; K != W; ++K) {
+    Word NV = (In[K] & ~Kill[K]) | Gen[K];
+    Diff |= Out[K] ^ NV;
+    Out[K] = NV;
+  }
+  return Diff;
+}
+
 /// Solves \p C into \p In / \p Out (already initialized and
 /// boundary-pinned) by round-robin sweeps; returns the sweep count.
 unsigned sweepToFixedPoint(const CompiledAnalysis &C,
@@ -218,7 +233,6 @@ unsigned sweepToFixedPoint(const CompiledAnalysis &C,
   if (W == 0)
     return 0;
   const bool AllMeet = C.Meet == Confluence::All;
-  const SolverKernels &SK = solverKernels();
   std::vector<Word> Tmp(W);
   unsigned Sweeps = 0;
   bool Changed = true;
@@ -229,20 +243,20 @@ unsigned sweepToFixedPoint(const CompiledAnalysis &C,
       const std::vector<NodeId> &P = Preds[Node];
       if (P.empty())
         continue; // Pinned to the boundary value.
-      SK.RowCopy(Tmp.data(), Out.row(P[0]), W);
+      rowCopy(Tmp.data(), Out.row(P[0]), W);
       for (size_t K = 1; K != P.size(); ++K) {
         const Word *PR = Out.row(P[K]);
         if (AllMeet)
-          SK.RowAnd(Tmp.data(), PR, W);
+          rowAnd(Tmp.data(), PR, W);
         else
-          SK.RowOr(Tmp.data(), PR, W);
+          rowOr(Tmp.data(), PR, W);
       }
-      SK.RowCopy(In.row(Node), Tmp.data(), W);
-      // The kernel stores the (possibly identical) value back
+      rowCopy(In.row(Node), Tmp.data(), W);
+      // fuseTransfer stores the (possibly identical) value back
       // unconditionally and reports the XOR of old and new; the sweep
       // only needs to know whether *anything* moved.
-      Word Diff = SK.FuseTransfer(W, Out.row(Node), Tmp.data(),
-                                  GenM.row(Node), KillM.row(Node));
+      Word Diff = fuseTransfer(W, Out.row(Node), Tmp.data(), GenM.row(Node),
+                               KillM.row(Node));
       Changed |= Diff != 0;
     }
   }
@@ -275,13 +289,12 @@ ArenaSpecResult gnt::runAnalysisArena(const CompiledAnalysis &C,
       R.Out.setRow(Node);
     }
   const unsigned WPR = R.In.wordsPerRow();
-  const SolverKernels &SK = solverKernels();
   for (NodeId Node = 0; Node != N; ++Node) {
     if (!Preds[Node].empty())
       continue;
     R.In.assignRow(Node, C.Boundary);
-    (void)SK.FuseTransfer(WPR, R.Out.row(Node), R.In.row(Node),
-                          GenM.row(Node), KillM.row(Node));
+    (void)fuseTransfer(WPR, R.Out.row(Node), R.In.row(Node), GenM.row(Node),
+                       KillM.row(Node));
   }
 
   R.Sweeps = sweepToFixedPoint(C, Preds, Order, GenM, KillM, R.In, R.Out);

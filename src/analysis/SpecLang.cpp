@@ -8,6 +8,7 @@
 
 #include "support/Support.h"
 
+#include <algorithm>
 #include <cctype>
 
 using namespace gnt;
@@ -78,6 +79,10 @@ namespace {
 ///   union     := intersect (('|' | '-') intersect)*   (left assoc)
 ///   intersect := unary ('&' unary)*
 ///   unary     := '~' unary | '(' union ')' | atom
+/// Each routine may use \p Budget nesting levels and reports in
+/// \p Height how many the expression it returns takes: 0 for an atom,
+/// one more than the highest operand for an operator or parenthesized
+/// group. An operand is parsed with one level less than its operator.
 struct ExprParser {
   const std::string &S;
   size_t Pos = 0;
@@ -110,6 +115,11 @@ struct ExprParser {
     return nullptr;
   }
 
+  std::unique_ptr<SpecSetExpr> tooDeep() {
+    return fail("nesting deeper than " + itostr(MaxSpecExprDepth) +
+                " levels");
+  }
+
   std::unique_ptr<SpecSetExpr> atom(SpecAtom A) {
     auto E = std::make_unique<SpecSetExpr>();
     E->K = SpecSetExpr::Kind::Atom;
@@ -127,22 +137,29 @@ struct ExprParser {
     return E;
   }
 
-  std::unique_ptr<SpecSetExpr> parseUnary() {
+  std::unique_ptr<SpecSetExpr> parseUnary(unsigned Budget, unsigned &Height) {
+    Height = 0;
     if (eat('~')) {
-      auto Sub = parseUnary();
+      if (Budget == 0)
+        return tooDeep();
+      auto Sub = parseUnary(Budget - 1, Height);
       if (!Sub)
         return nullptr;
+      ++Height;
       auto E = std::make_unique<SpecSetExpr>();
       E->K = SpecSetExpr::Kind::Complement;
       E->LHS = std::move(Sub);
       return E;
     }
     if (eat('(')) {
-      auto Sub = parseUnion();
+      if (Budget == 0)
+        return tooDeep();
+      auto Sub = parseUnion(Budget - 1, Height);
       if (!Sub)
         return nullptr;
       if (!eat(')'))
         return fail("missing `)`");
+      ++Height;
       return Sub;
     }
     skipWs();
@@ -171,28 +188,38 @@ struct ExprParser {
                 "` (expected in/take/give/steal/empty/all)");
   }
 
-  std::unique_ptr<SpecSetExpr> parseIntersect() {
-    auto L = parseUnary();
+  std::unique_ptr<SpecSetExpr> parseIntersect(unsigned Budget,
+                                              unsigned &Height) {
+    auto L = parseUnary(Budget, Height);
     while (L && peek() == '&') {
+      // The chain so far becomes the left operand of a new node.
+      if (Height >= Budget)
+        return tooDeep();
       eat('&');
-      auto R = parseUnary();
+      unsigned RHeight = 0;
+      auto R = parseUnary(Budget - 1, RHeight);
       if (!R)
         return nullptr;
+      Height = std::max(Height, RHeight) + 1;
       L = binary(SpecSetExpr::Kind::Intersect, std::move(L), std::move(R));
     }
     return L;
   }
 
-  std::unique_ptr<SpecSetExpr> parseUnion() {
-    auto L = parseIntersect();
+  std::unique_ptr<SpecSetExpr> parseUnion(unsigned Budget, unsigned &Height) {
+    auto L = parseIntersect(Budget, Height);
     while (L) {
       char C = peek();
       if (C != '|' && C != '-')
         break;
+      if (Height >= Budget)
+        return tooDeep();
       eat(C);
-      auto R = parseIntersect();
+      unsigned RHeight = 0;
+      auto R = parseIntersect(Budget - 1, RHeight);
       if (!R)
         return nullptr;
+      Height = std::max(Height, RHeight) + 1;
       L = binary(C == '|' ? SpecSetExpr::Kind::Union
                           : SpecSetExpr::Kind::Difference,
                  std::move(L), std::move(R));
@@ -202,7 +229,8 @@ struct ExprParser {
 
   /// Parses the whole string; trailing garbage is an error.
   std::unique_ptr<SpecSetExpr> parseAll() {
-    auto E = parseUnion();
+    unsigned Height = 0;
+    auto E = parseUnion(MaxSpecExprDepth, Height);
     if (!E)
       return nullptr;
     skipWs();

@@ -36,8 +36,9 @@
 ///   unknown-key                  unrecognized key line
 ///   duplicate-key                key stated twice (or transfer + sugar)
 ///   bad-value                    malformed value for a known key
-///   transfer-syntax              set expression does not parse, or
-///                                `in` inside gen/kill sugar
+///   transfer-syntax              set expression does not parse,
+///                                nests deeper than MaxSpecExprDepth,
+///                                or `in` inside gen/kill sugar
 ///   missing-transfer             neither transfer nor gen/kill given
 ///   non-monotone                 transfer template maps in=1 below
 ///                                in=0 somewhere (exhaustively checked
@@ -84,6 +85,11 @@ enum class SpecUniverse {
 
 /// "items", "exprs", "defs".
 const char *specUniverseName(SpecUniverse U);
+
+/// Deepest set expression the parser accepts: every `~`, parenthesized
+/// group and binary operator adds a level above its operands, so a
+/// left-associative chain `in|in|...` nests one level per operator.
+constexpr unsigned MaxSpecExprDepth = 256;
 
 /// Atoms of the set-expression language.
 enum class SpecAtom { In, Take, Give, Steal, Empty, All };

@@ -397,16 +397,15 @@ using RowList = std::vector<const Word *>;
 //===----------------------------------------------------------------------===//
 // Row sweeps
 //
-// The row primitives and the fused sweeps live behind the
-// support/SimdKernels registry: scalar reference loops plus
-// hand-written AVX2/AVX-512/NEON variants, selected once per process
-// (CPUID or GNT_KERNEL). The commented equation bodies (Eq. 1-15 word
-// logic, operand roles, the HoistMask/NoHoist conventions, the Eq. 11
-// soundness refinement) are documented on the scalar variant in
-// SimdKernels.cpp. Aliasing contract carried over from the inline era:
-// a destination is always the row of one (field, node) pair, every
-// source is a different row or init storage, and several *sources* may
-// alias each other (absent operands all point at one shared zero row).
+// Per-node word loops over arena rows. The gathers fold an edge list
+// into one row with the support/SimdKernels.h primitives; each fused
+// sweep then finishes one schedule step's equations in a single pass.
+// Every variable is a pure per-word bitwise function of its operands,
+// so the fused loops reproduce the classic evaluator bit for bit.
+// Aliasing contract: a destination is always the row of one (field,
+// node) pair, every source is a different row or init storage, and
+// several *sources* may alias each other (absent operands all point at
+// one shared zero row).
 //===----------------------------------------------------------------------===//
 
 inline void rowZero(Word *D, unsigned W) {
@@ -414,28 +413,141 @@ inline void rowZero(Word *D, unsigned W) {
 }
 
 /// D = union of the rows in \p L (bottom when empty).
-inline void gatherUnion(const SolverKernels &SK, Word *D, const RowList &L,
-                        unsigned W) {
+inline void gatherUnion(Word *D, const RowList &L, unsigned W) {
   if (L.empty()) {
     rowZero(D, W);
     return;
   }
-  SK.RowCopy(D, L[0], W);
+  rowCopy(D, L[0], W);
   for (std::size_t I = 1, E = L.size(); I != E; ++I)
-    SK.RowOr(D, L[I], W);
+    rowOr(D, L[I], W);
 }
 
 /// D = intersection of the rows in \p L (bottom when empty, as Section 4
 /// specifies for empty successor sets).
-inline void gatherMeet(const SolverKernels &SK, Word *D, const RowList &L,
-                       unsigned W) {
+inline void gatherMeet(Word *D, const RowList &L, unsigned W) {
   if (L.empty()) {
     rowZero(D, W);
     return;
   }
-  SK.RowCopy(D, L[0], W);
+  rowCopy(D, L[0], W);
   for (std::size_t I = 1, E = L.size(); I != E; ++I)
-    SK.RowAnd(D, L[I], W);
+    rowAnd(D, L[I], W);
+}
+
+/// Eq. 9's finisher: GIVE_loc(c) = (meet | GIVE(c) | TAKE(c)) - STEAL(c),
+/// with \p D arriving holding the predecessor meet.
+inline void fuseGiveLoc(unsigned W, Word *__restrict D,
+                        const Word *__restrict Give,
+                        const Word *__restrict Take,
+                        const Word *__restrict Steal) {
+  for (unsigned K = 0; K != W; ++K)
+    D[K] = (D[K] | Give[K] | Take[K]) & ~Steal[K];
+}
+
+/// S1(n), Eq. 1-3 and 5-8, in one pass; Eq. 4's TAKEN_out arrives
+/// precomputed in \p TakenOut. The Sum* rows are the Eq. 1/2 header
+/// summaries of the last child, the Entry* rows the ENTRY-successor
+/// unions of BLOCK_loc, TAKEN_in and TAKE_loc, FwdBlock the FORWARD
+/// union of BLOCK_loc and EfTake the ENTRY+FORWARD union of TAKE_loc.
+/// \p HoistMask is all ones for an ordinary node and zero for a NoHoist
+/// header, whose caller also passes zero rows for the loop-body TAKE
+/// terms, so the loop never branches per word.
+inline void
+fuseS1(unsigned W, const Word *__restrict StealI, const Word *__restrict GiveI,
+       const Word *__restrict TakeI, const Word *__restrict SumSteal,
+       const Word *__restrict SumGive, const Word *__restrict EntryBlock,
+       const Word *__restrict EntryTaken, const Word *__restrict EntryTake,
+       const Word *__restrict FwdBlock, const Word *__restrict EfTake,
+       Word HoistMask, const Word *__restrict TakenOut,
+       Word *__restrict RSteal, Word *__restrict RGive,
+       Word *__restrict RBlock, Word *__restrict RTake,
+       Word *__restrict RTakenIn, Word *__restrict RBlockLoc,
+       Word *__restrict RTakeLoc) {
+  for (unsigned K = 0; K != W; ++K) {
+    // Eq. 1: STEAL(n) = STEAL_init(n) u STEAL_loc(LASTCHILD(n))
+    Word Steal = StealI[K] | SumSteal[K];
+    // Eq. 2: GIVE(n) = GIVE_init(n) u GIVE_loc(LASTCHILD(n))
+    Word Give = GiveI[K] | SumGive[K];
+    // Eq. 3: BLOCK(n) = STEAL(n) u GIVE(n) u union_{s in SUCCS^E} BLOCK_loc(s)
+    Word Block = Steal | Give | EntryBlock[K];
+    Word TOut = TakenOut[K];
+    // Eq. 5: TAKE(n) = TAKE_init(n)
+    //   u (union_{s in SUCCS^E} TAKEN_in(s) - STEAL(n))
+    //   u ((TAKEN_out(n) n union_{s in SUCCS^E} TAKE_loc(s)) - BLOCK(n))
+    Word Take =
+        TakeI[K] | (EntryTaken[K] & ~Steal) | (EntryTake[K] & TOut & ~Block);
+    // Eq. 6: TAKEN_in(n) = TAKE(n) u (TAKEN_out(n) - BLOCK(n)); a
+    // NoHoist header keeps only TAKE(n).
+    Word TakenIn = Take | (TOut & ~Block & HoistMask);
+    // Eq. 7: BLOCK_loc(n) = (BLOCK(n) u union_{s in SUCCS^F} BLOCK_loc(s))
+    //   - TAKE(n)
+    Word BlockLoc = (Block | FwdBlock[K]) & ~Take;
+    // Eq. 8: TAKE_loc(n) = TAKE(n)
+    //   u (union_{s in SUCCS^EF} TAKE_loc(s) - BLOCK(n))
+    Word TakeLoc = (EfTake[K] & ~Block) | Take;
+    RSteal[K] = Steal;
+    RGive[K] = Give;
+    RBlock[K] = Block;
+    RTake[K] = Take;
+    RTakenIn[K] = TakenIn;
+    RBlockLoc[K] = BlockLoc;
+    RTakeLoc[K] = TakeLoc;
+  }
+}
+
+/// S3(n), Eq. 11-13 for one urgency. \p RGivenIn arrives holding the
+/// FORWARD/JUMP predecessor meet of GIVEN_out and \p PredUnion their
+/// union; \p HdrGiven / \p HdrSteal are the hoistable header's GIVEN
+/// and STEAL rows (zero rows otherwise); \p NUrgent is TAKEN_in(n) for
+/// EAGER and TAKE(n) for LAZY.
+inline void fuseS3(unsigned W, Word *__restrict RGivenIn,
+                   const Word *__restrict PredUnion,
+                   const Word *__restrict HdrGiven,
+                   const Word *__restrict HdrSteal,
+                   const Word *__restrict NTakenIn,
+                   const Word *__restrict NUrgent,
+                   const Word *__restrict NGive,
+                   const Word *__restrict NSteal, Word *__restrict RGiven,
+                   Word *__restrict RGivenOut) {
+  for (unsigned K = 0; K != W; ++K) {
+    // Eq. 11: GIVEN_in(n) = (GIVEN(HEADER(n)) - STEAL(HEADER(n)))
+    //   u meet_{p in PREDS^FJ} GIVEN_out(p)
+    //   u (TAKEN_in(n) n union_{q in PREDS^FJ} GIVEN_out(q))
+    // (the header's STEAL summary is the classic solver's soundness
+    // refinement of the paper's literal equation).
+    Word In = RGivenIn[K] | (HdrGiven[K] & ~HdrSteal[K]) |
+              (PredUnion[K] & NTakenIn[K]);
+    // Eq. 12: GIVEN(n) = GIVEN_in(n) u (EAGER ? TAKEN_in(n) : TAKE(n))
+    Word Given = In | NUrgent[K];
+    RGivenIn[K] = In;
+    RGiven[K] = Given;
+    // Eq. 13: GIVEN_out(n) = (GIVE(n) u GIVEN(n)) - STEAL(n)
+    RGivenOut[K] = (NGive[K] | Given) & ~NSteal[K];
+  }
+}
+
+/// S4(n), Eq. 14-15 for one urgency. \p RResOut arrives holding the
+/// FORWARD/JUMP successor union of GIVEN_in. Returns the OR over the
+/// final RES_out words (the no-critical-edge assert). \p FlipEq14 is
+/// the fuzz fault injection: it drops Eq. 14's complement.
+inline Word fuseS4(unsigned W, bool FlipEq14, const Word *__restrict RGiven,
+                   const Word *__restrict RGivenIn,
+                   const Word *__restrict RGivenOut,
+                   Word *__restrict RResIn, Word *__restrict RResOut) {
+  // As a mask the injection keeps the loop branch-free:
+  // GivenIn ^ ~0 == ~GivenIn.
+  const Word Inv = FlipEq14 ? Word(0) : ~Word(0);
+  Word AnyOut = 0;
+  for (unsigned K = 0; K != W; ++K) {
+    // Eq. 14: RES_in(n) = GIVEN(n) - GIVEN_in(n)
+    RResIn[K] = RGiven[K] & (RGivenIn[K] ^ Inv);
+    // Eq. 15: RES_out(n) = union_{s in SUCCS^FJ} GIVEN_in(s) - GIVEN_out(n)
+    Word Out = RResOut[K] & ~RGivenOut[K];
+    RResOut[K] = Out;
+    AnyOut |= Out;
+  }
+  return AnyOut;
 }
 
 /// The fused evaluator: identical schedule and identical reads as the
@@ -456,7 +568,6 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
   if (W == 0)
     return; // Empty universe: nothing to compute.
   const std::vector<NodeId> &Pre = Ifg.preorder();
-  const SolverKernels &SK = solverKernels();
   const bool FlipEq14 =
       detail::InjectFusedSweepBug.load(std::memory_order_relaxed);
   // Step selectors for the masked re-solve; a cold solve runs everything.
@@ -601,11 +712,11 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
       // (S preds are jumped-out intervals left mid-flight: their
       // resupplies cannot be subtracted.)
       Word *CStealLoc = row(FStealLoc, C);
-      SK.RowCopy(CStealLoc, row(FSteal, C), W);
+      rowCopy(CStealLoc, row(FSteal, C), W);
       for (std::size_t I = 0, IE = FjPredStealLoc.size(); I != IE; ++I)
-        SK.RowOrAndNot(CStealLoc, FjPredStealLoc[I], FjPredGiveLoc[I], W);
+        rowOrAndNot(CStealLoc, FjPredStealLoc[I], FjPredGiveLoc[I], W);
       for (const Word *S : SynPredStealLoc)
-        SK.RowOr(CStealLoc, S, W);
+        rowOr(CStealLoc, S, W);
       if (Refine)
         noteOutput(FStealLoc, C);
 
@@ -613,9 +724,8 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
       //   (GIVE(c) u TAKE(c) u meet_{p in PREDS^FJ} GIVE_loc(p))
       //   - STEAL(c)
       Word *CGiveLoc = row(FGiveLoc, C);
-      gatherMeet(SK, CGiveLoc, FjPredGiveLoc, W);
-      SK.FuseGiveLoc(W, CGiveLoc, row(FGive, C), row(FTake, C),
-                     row(FSteal, C));
+      gatherMeet(CGiveLoc, FjPredGiveLoc, W);
+      fuseGiveLoc(W, CGiveLoc, row(FGive, C), row(FTake, C), row(FSteal, C));
       if (Refine)
         noteOutput(FGiveLoc, C);
     }
@@ -688,25 +798,25 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
     // contributions (Section 5.3's per-header alternative to STEAL_init
     // poisoning), expressed as zero rows so fuseS1 stays branch-free.
     Word *RTakenOut = row(FTakenOut, Node);
-    gatherMeet(SK, RTakenOut, FjsTakenIn, W);
-    gatherUnion(SK, SEntryBlock, EntryBlockLoc, W);
-    gatherUnion(SK, SFwdBlock, FwdBlockLoc, W);
-    gatherUnion(SK, SEfTake, EfTakeLoc, W);
+    gatherMeet(RTakenOut, FjsTakenIn, W);
+    gatherUnion(SEntryBlock, EntryBlockLoc, W);
+    gatherUnion(SFwdBlock, FwdBlockLoc, W);
+    gatherUnion(SEfTake, EfTakeLoc, W);
     const Word *EntryTaken = ZeroRow;
     const Word *EntryTake = ZeroRow;
     if (Hoistable) {
-      gatherUnion(SK, SEntryTaken, EntryTakenIn, W);
-      gatherUnion(SK, SEntryTake, EntryTakeLoc, W);
+      gatherUnion(SEntryTaken, EntryTakenIn, W);
+      gatherUnion(SEntryTake, EntryTakeLoc, W);
       EntryTaken = SEntryTaken;
       EntryTake = SEntryTake;
     }
 
-    SK.FuseS1(W, P.StealInit[Node].words(), P.GiveInit[Node].words(),
-              P.TakeInit[Node].words(), SumSteal, SumGive,
-              SEntryBlock, EntryTaken, EntryTake, SFwdBlock, SEfTake,
-              Hoistable ? ~Word(0) : Word(0), RTakenOut, row(FSteal, Node),
-              row(FGive, Node), row(FBlock, Node), row(FTake, Node),
-              row(FTakenIn, Node), row(FBlockLoc, Node), row(FTakeLoc, Node));
+    fuseS1(W, P.StealInit[Node].words(), P.GiveInit[Node].words(),
+           P.TakeInit[Node].words(), SumSteal, SumGive, SEntryBlock,
+           EntryTaken, EntryTake, SFwdBlock, SEfTake,
+           Hoistable ? ~Word(0) : Word(0), RTakenOut, row(FSteal, Node),
+           row(FGive, Node), row(FBlock, Node), row(FTake, Node),
+           row(FTakenIn, Node), row(FBlockLoc, Node), row(FTakeLoc, Node));
     if (Refine)
       for (ArenaField F : {FTakenOut, FSteal, FGive, FBlock, FTake, FTakenIn,
                            FBlockLoc, FTakeLoc})
@@ -768,11 +878,11 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
       // Predecessor meet lands straight in the GIVEN_in row, the union
       // in scratch; fuseS3 finishes Eq. 11-13 in one sweep.
       Word *RGivenIn = row(GivenInF, Node);
-      gatherMeet(SK, RGivenIn, FjPredGivenOut, W);
-      gatherUnion(SK, SPredUnion, FjPredGivenOut, W);
-      SK.FuseS3(W, RGivenIn, SPredUnion, HdrGiven, HdrSteal, NTakenIn,
-                Eager ? NTakenIn : NTake, NGive, NSteal, row(GivenF, Node),
-                row(GivenOutF, Node));
+      gatherMeet(RGivenIn, FjPredGivenOut, W);
+      gatherUnion(SPredUnion, FjPredGivenOut, W);
+      fuseS3(W, RGivenIn, SPredUnion, HdrGiven, HdrSteal, NTakenIn,
+             Eager ? NTakenIn : NTake, NGive, NSteal, row(GivenF, Node),
+             row(GivenOutF, Node));
       if (Refine)
         for (ArenaField F : {GivenInF, GivenF, GivenOutF})
           noteOutput(F, Node);
@@ -820,9 +930,9 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
 
       // Eq. 15's successor union lands straight in the RES_out row;
       // fuseS4 finishes Eq. 14-15.
-      gatherUnion(SK, RResOut, FjSuccGivenIn, W);
-      Word AnyOut = SK.FuseS4(W, FlipEq14, RGiven, RGivenIn, RGivenOut,
-                              RResIn, RResOut);
+      gatherUnion(RResOut, FjSuccGivenIn, W);
+      Word AnyOut =
+          fuseS4(W, FlipEq14, RGiven, RGivenIn, RGivenOut, RResIn, RResOut);
       (void)AnyOut;
 
       // The paper's no-critical-edge argument (Section 4.5) implies exit

@@ -179,11 +179,11 @@ bool hasJumpOrSynthetic(const IntervalFlowGraph &Ifg) {
 std::shared_ptr<DataflowMatrix> cloneArena(const DataflowMatrix &Src) {
   auto Clone = std::make_shared<DataflowMatrix>(Src.rows(), Src.bits(),
                                                 DataflowMatrix::Uninit);
-  // Whole-storage copy, padding included: rows are stride-padded for
-  // lane alignment, so rows()*wordsPerRow() would under-copy.
-  if (Src.storageWords())
+  // Rows are packed, so the whole arena is one run of words.
+  if (Src.rows() && Src.wordsPerRow())
     std::memcpy(Clone->row(0), Src.row(0),
-                Src.storageWords() * sizeof(DataflowMatrix::Word));
+                static_cast<std::size_t>(Src.rows()) * Src.wordsPerRow() *
+                    sizeof(DataflowMatrix::Word));
   return Clone;
 }
 

@@ -9,6 +9,8 @@
 #include "frontend/Lexer.h"
 #include "support/Support.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <set>
 
 using namespace gnt;
@@ -39,8 +41,24 @@ private:
   }
 
   void error(const std::string &Msg) {
+    if (TooDeep)
+      return; // The depth error is the only one reported.
     Result.Errors.push_back("line " + itostr(cur().Loc.Line) + ": " + Msg);
   }
+
+  /// Reports input nested past MaxNestingDepth and abandons the parse:
+  /// the cursor jumps to end of input, so every open construct unwinds
+  /// without reading further, and later errors are suppressed.
+  std::nullptr_t tooDeep() {
+    error("nesting deeper than " + itostr(MaxNestingDepth) + " levels");
+    TooDeep = true;
+    Pos = Toks.size() - 1;
+    return nullptr;
+  }
+
+  /// Nesting levels left for the expressions of a statement at the
+  /// current body depth.
+  unsigned exprBudget() const { return MaxNestingDepth - Depth; }
 
   bool expect(Token::Kind K, const char *What) {
     if (at(K)) {
@@ -111,6 +129,18 @@ private:
     }
   }
 
+  /// Parses a do/if body, one nesting level below the current one.
+  StmtList parseBody(const std::set<Token::Kind> &Terminators) {
+    if (Depth == MaxNestingDepth) {
+      tooDeep();
+      return {};
+    }
+    ++Depth;
+    StmtList Body = parseLines(Terminators);
+    --Depth;
+    return Body;
+  }
+
   void parseDecl(bool Distributed) {
     while (true) {
       if (!at(Token::Kind::Ident)) {
@@ -163,12 +193,12 @@ private:
     advance();
     if (!expect(Token::Kind::Assign, "'='"))
       return nullptr;
-    ExprPtr Lo = parseExpr();
+    ExprPtr Lo = parseExpr(exprBudget());
     if (!expect(Token::Kind::Comma, "','"))
       return nullptr;
-    ExprPtr Hi = parseExpr();
+    ExprPtr Hi = parseExpr(exprBudget());
     expectNewline();
-    StmtList Body = parseLines({Token::Kind::KwEnddo});
+    StmtList Body = parseBody({Token::Kind::KwEnddo});
     expect(Token::Kind::KwEnddo, "'enddo'");
     if (!Lo || !Hi)
       return nullptr;
@@ -180,7 +210,7 @@ private:
     advance(); // if
     if (!expect(Token::Kind::LParen, "'('"))
       return nullptr;
-    ExprPtr Cond = parseExpr();
+    ExprPtr Cond = parseExpr(exprBudget());
     if (!expect(Token::Kind::RParen, "')'"))
       return nullptr;
     if (at(Token::Kind::KwGoto)) {
@@ -199,13 +229,12 @@ private:
     if (!expect(Token::Kind::KwThen, "'then' or 'goto'"))
       return nullptr;
     expectNewline();
-    StmtList Then =
-        parseLines({Token::Kind::KwElse, Token::Kind::KwEndif});
+    StmtList Then = parseBody({Token::Kind::KwElse, Token::Kind::KwEndif});
     StmtList Else;
     if (at(Token::Kind::KwElse)) {
       advance();
       expectNewline();
-      Else = parseLines({Token::Kind::KwEndif});
+      Else = parseBody({Token::Kind::KwEndif});
     }
     expect(Token::Kind::KwEndif, "'endif'");
     if (!Cond)
@@ -219,8 +248,10 @@ private:
     advance();
     ExprPtr LHS;
     if (at(Token::Kind::LParen)) {
+      if (exprBudget() == 0)
+        return tooDeep();
       advance();
-      ExprPtr Sub = parseExpr();
+      ExprPtr Sub = parseExpr(exprBudget() - 1);
       if (!expect(Token::Kind::RParen, "')'"))
         return nullptr;
       if (!Sub)
@@ -232,7 +263,7 @@ private:
     }
     if (!expect(Token::Kind::Assign, "'='"))
       return nullptr;
-    ExprPtr RHS = parseExpr();
+    ExprPtr RHS = parseExpr(exprBudget());
     if (!RHS)
       return nullptr;
     return std::make_unique<AssignStmt>(std::move(LHS), std::move(RHS), Loc);
@@ -240,12 +271,24 @@ private:
 
   //===--------------------------------------------------------------------===//
   // Expressions
+  //
+  // Each routine may use \p Budget nesting levels and reports in
+  // \p Height how many the expression it returns takes: 0 for a leaf,
+  // one more than the highest operand for an operator or parenthesized
+  // group. An operand is parsed with one level less than its operator.
   //===--------------------------------------------------------------------===//
 
-  ExprPtr parseExpr() { return parseCompare(); }
+  ExprPtr parseExpr(unsigned Budget) {
+    unsigned Height = 0;
+    return parseExpr(Budget, Height);
+  }
 
-  ExprPtr parseCompare() {
-    ExprPtr L = parseAdditive();
+  ExprPtr parseExpr(unsigned Budget, unsigned &Height) {
+    return parseCompare(Budget, Height);
+  }
+
+  ExprPtr parseCompare(unsigned Budget, unsigned &Height) {
+    ExprPtr L = parseAdditive(Budget, Height);
     if (!L)
       return nullptr;
     BinaryExpr::Op Op;
@@ -271,68 +314,88 @@ private:
     default:
       return L;
     }
+    if (Height >= Budget)
+      return tooDeep();
     SourceLoc Loc = cur().Loc;
     advance();
-    ExprPtr R = parseAdditive();
+    unsigned RHeight = 0;
+    ExprPtr R = parseAdditive(Budget - 1, RHeight);
     if (!R)
       return nullptr;
+    Height = std::max(Height, RHeight) + 1;
     return std::make_unique<BinaryExpr>(Op, std::move(L), std::move(R), Loc);
   }
 
-  ExprPtr parseAdditive() {
-    ExprPtr L = parseMultiplicative();
+  ExprPtr parseAdditive(unsigned Budget, unsigned &Height) {
+    ExprPtr L = parseMultiplicative(Budget, Height);
     while (L && (at(Token::Kind::Plus) || at(Token::Kind::Minus))) {
+      // The chain so far becomes the left operand of a new node.
+      if (Height >= Budget)
+        return tooDeep();
       BinaryExpr::Op Op = at(Token::Kind::Plus) ? BinaryExpr::Op::Add
                                                 : BinaryExpr::Op::Sub;
       SourceLoc Loc = cur().Loc;
       advance();
-      ExprPtr R = parseMultiplicative();
+      unsigned RHeight = 0;
+      ExprPtr R = parseMultiplicative(Budget - 1, RHeight);
       if (!R)
         return nullptr;
+      Height = std::max(Height, RHeight) + 1;
       L = std::make_unique<BinaryExpr>(Op, std::move(L), std::move(R), Loc);
     }
     return L;
   }
 
-  ExprPtr parseMultiplicative() {
-    ExprPtr L = parseUnary();
+  ExprPtr parseMultiplicative(unsigned Budget, unsigned &Height) {
+    ExprPtr L = parseUnary(Budget, Height);
     while (L && (at(Token::Kind::Star) || at(Token::Kind::Slash))) {
+      if (Height >= Budget)
+        return tooDeep();
       BinaryExpr::Op Op = at(Token::Kind::Star) ? BinaryExpr::Op::Mul
                                                 : BinaryExpr::Op::Div;
       SourceLoc Loc = cur().Loc;
       advance();
-      ExprPtr R = parseUnary();
+      unsigned RHeight = 0;
+      ExprPtr R = parseUnary(Budget - 1, RHeight);
       if (!R)
         return nullptr;
+      Height = std::max(Height, RHeight) + 1;
       L = std::make_unique<BinaryExpr>(Op, std::move(L), std::move(R), Loc);
     }
     return L;
   }
 
-  ExprPtr parseUnary() {
+  ExprPtr parseUnary(unsigned Budget, unsigned &Height) {
     if (at(Token::Kind::Minus)) {
+      if (Budget == 0)
+        return tooDeep();
       SourceLoc Loc = cur().Loc;
       advance();
-      ExprPtr Operand = parseUnary();
+      ExprPtr Operand = parseUnary(Budget - 1, Height);
       if (!Operand)
         return nullptr;
+      ++Height;
       return std::make_unique<UnaryExpr>(std::move(Operand), Loc);
     }
-    return parsePrimary();
+    return parsePrimary(Budget, Height);
   }
 
-  ExprPtr parsePrimary() {
+  ExprPtr parsePrimary(unsigned Budget, unsigned &Height) {
     SourceLoc Loc = cur().Loc;
+    Height = 0;
     if (at(Token::Kind::Number)) {
       long long V = cur().Value;
       advance();
       return std::make_unique<IntLitExpr>(V, Loc);
     }
     if (at(Token::Kind::LParen)) {
+      if (Budget == 0)
+        return tooDeep();
       advance();
-      ExprPtr E = parseExpr();
+      ExprPtr E = parseExpr(Budget - 1, Height);
       if (!expect(Token::Kind::RParen, "')'"))
         return nullptr;
+      ++Height;
       return E;
     }
     if (at(Token::Kind::Ident)) {
@@ -340,13 +403,17 @@ private:
       advance();
       if (!at(Token::Kind::LParen))
         return std::make_unique<VarExpr>(Name, Loc);
+      if (Budget == 0)
+        return tooDeep();
       advance();
       std::vector<ExprPtr> Args;
       if (!at(Token::Kind::RParen)) {
         while (true) {
-          ExprPtr A = parseExpr();
+          unsigned ArgHeight = 0;
+          ExprPtr A = parseExpr(Budget - 1, ArgHeight);
           if (!A)
             return nullptr;
+          Height = std::max(Height, ArgHeight);
           Args.push_back(std::move(A));
           if (!at(Token::Kind::Comma))
             break;
@@ -355,6 +422,7 @@ private:
       }
       if (!expect(Token::Kind::RParen, "')'"))
         return nullptr;
+      ++Height;
       // One-argument applications of names are resolved to array
       // references or intrinsic calls after the whole program is seen;
       // record a call for now and rewrite in resolveArrays().
@@ -458,6 +526,10 @@ private:
   size_t Pos = 0;
   ParseResult &Result;
   std::set<std::string> LhsArrays;
+  /// Do/if bodies around the statement being parsed.
+  unsigned Depth = 0;
+  /// Set once the input nested past MaxNestingDepth.
+  bool TooDeep = false;
 };
 
 } // namespace

@@ -46,6 +46,15 @@ struct ParseResult {
   bool success() const { return Errors.empty(); }
 };
 
+/// Deepest nesting parseProgram accepts. A statement's level is the
+/// number of do/if bodies around it; within a statement, every unary
+/// minus, parenthesized group (grouping, call arguments, subscript) and
+/// binary operator adds a level above its operands, so a
+/// left-associative chain `1+1+...` nests one level per operator.
+/// Deeper input gets one "nesting deeper than" error, which keeps every
+/// recursive walk over the AST far from the stack limit.
+constexpr unsigned MaxNestingDepth = 256;
+
 /// Parses FMini \p Source.
 ParseResult parseProgram(const std::string &Source);
 

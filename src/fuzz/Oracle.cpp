@@ -11,7 +11,6 @@
 #include "fuzz/Mutator.h"
 #include "service/Pipeline.h"
 #include "service/StageCache.h"
-#include "support/SimdKernels.h"
 #include "sim/TraceSimulator.h"
 #include "support/Hashing.h"
 #include "support/Support.h"
@@ -178,9 +177,9 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
   Out.Features = coverageFeatures(*R.Prog, *R.Ifg, Out.UniverseSize);
   Out.CoverageKey = Out.Features.key();
 
-  // Layer 3: artifact-level differential — classic and per-kernel
-  // re-solves of the oriented problems must match the arena solve on
-  // all 20 dataflow variables.
+  // Layer 3: artifact-level differential — the classic re-solve of the
+  // oriented problems must match the arena solve on all 20 dataflow
+  // variables.
   if (Opts.Differential) {
     auto DiffRun = [&](const std::optional<GntRun> &Run,
                        const char *Problem) {
@@ -191,19 +190,6 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
       diffResults(Classic, Run->Result,
                   std::string("differential.classic.") + Problem,
                   Out.Findings);
-      // Every SIMD kernel variant this machine can run must produce the
-      // classic result bit-for-bit — the variants share nothing but the
-      // equations, so a lane-width or tail-handling bug in any one of
-      // them shows up here as its own finding kind.
-      for (const SolverKernels *K : availableSolverKernels()) {
-        detail::ScopedKernelOverride Force(*K);
-        GntResult Solved =
-            solveGiveNTake(Run->OrientedIfg, Run->OrientedProblem);
-        diffResults(Classic, Solved,
-                    std::string("differential.kernel-") + K->Name + "." +
-                        Problem,
-                    Out.Findings);
-      }
     };
     DiffRun(R.Plan->ReadRun, "READ");
     DiffRun(R.Plan->WriteRun, "WRITE");

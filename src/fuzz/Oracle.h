@@ -12,9 +12,8 @@
 ///  2. audit gate — the production pipeline with the full static audit,
 ///     the independent C1/C3/O1 verifier and -Werror: any diagnostic on
 ///     a frontend-valid input is a finding;
-///  3. artifact differential — the classic per-equation evaluator and
-///     the arena solver under every SIMD kernel variant the machine can
-///     run re-solve the oriented READ/WRITE problems; all 20 dataflow
+///  3. artifact differential — the classic per-equation evaluator
+///     re-solves the oriented READ/WRITE problems; all 20 dataflow
 ///     variables must be byte-identical to the production arena solve
 ///     (forEachGntField);
 ///  4. incremental differential — a stage cache is primed with the

@@ -20,16 +20,10 @@
 /// construction and by the masked mutators below; the bitwise AND / OR
 /// / ANDNOT combinations the equations use preserve it automatically.
 ///
-/// Alignment contract (support/SimdKernels.h): the base allocation is
-/// 64-byte aligned and the distance between consecutive rows — the
-/// stride, rowStride() — is padded up to a multiple of 8 words, so a
-/// row that starts a 512-bit load never straddles into its neighbor
-/// and every row starts on a cache-line/lane boundary. The padding
-/// words are storage only: row(), extractRow(), rowNone(), and the
-/// solver all address exactly wordsPerRow() words per row, and
-/// borrowWords exports read exactly that many, so padding can never
-/// leak into results. Debug builds poison Uninit storage (0xA5) to
-/// make any read-before-write or padding leak loud.
+/// Rows are packed: row R starts wordsPerRow() words after row R-1, so
+/// a word written past the end of one row lands in its neighbor. Debug
+/// builds poison Uninit storage (0xA5) to make any read-before-write
+/// loud.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +35,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <new>
 
 namespace gnt {
 
@@ -51,11 +43,6 @@ class DataflowMatrix {
 public:
   using Word = BitVector::Word;
   static constexpr unsigned WordBits = BitVector::WordBits;
-
-  /// Rows are padded to a multiple of this many words (one 64-byte
-  /// SIMD lane) and the base allocation is aligned to match.
-  static constexpr unsigned LaneWords = 8;
-  static constexpr std::size_t LaneBytes = LaneWords * sizeof(Word);
 
   /// Tag requesting an uninitialized arena (see the tagged constructor).
   struct UninitTag {};
@@ -78,9 +65,8 @@ public:
   DataflowMatrix(unsigned NumRows, unsigned NumBits, UninitTag)
       : NRows(NumRows), NBits(NumBits),
         WPerRow((NumBits + WordBits - 1) / WordBits),
-        WStride(padStride(WPerRow)),
-        NWords(static_cast<std::size_t>(NumRows) * WStride),
-        Words(allocWords(NWords)) {
+        NWords(static_cast<std::size_t>(NumRows) * WPerRow),
+        Words(NWords ? new Word[NWords] : nullptr) {
 #ifndef NDEBUG
     // Poison uninitialized storage so a row that is read (or exported)
     // before being written shows up as garbage with out-of-range tail
@@ -92,17 +78,16 @@ public:
 
   DataflowMatrix(DataflowMatrix &&RHS) noexcept
       : NRows(RHS.NRows), NBits(RHS.NBits), WPerRow(RHS.WPerRow),
-        WStride(RHS.WStride), NWords(RHS.NWords), Words(RHS.Words) {
+        NWords(RHS.NWords), Words(RHS.Words) {
     RHS.Words = nullptr;
     RHS.NWords = 0;
   }
   DataflowMatrix &operator=(DataflowMatrix &&RHS) noexcept {
     if (this != &RHS) {
-      release();
+      delete[] Words;
       NRows = RHS.NRows;
       NBits = RHS.NBits;
       WPerRow = RHS.WPerRow;
-      WStride = RHS.WStride;
       NWords = RHS.NWords;
       Words = RHS.Words;
       RHS.Words = nullptr;
@@ -112,20 +97,11 @@ public:
   }
   DataflowMatrix(const DataflowMatrix &) = delete;
   DataflowMatrix &operator=(const DataflowMatrix &) = delete;
-  ~DataflowMatrix() { release(); }
+  ~DataflowMatrix() { delete[] Words; }
 
   unsigned rows() const { return NRows; }
   unsigned bits() const { return NBits; }
   unsigned wordsPerRow() const { return WPerRow; }
-
-  /// Words between consecutive row starts; >= wordsPerRow(), padded to
-  /// a LaneWords multiple. The words past wordsPerRow() are padding —
-  /// storage, never data.
-  unsigned rowStride() const { return WStride; }
-
-  /// Total allocated words (rows() * rowStride()), for whole-arena
-  /// copies such as the incremental solver's memo clone.
-  std::size_t storageWords() const { return NWords; }
 
   /// Mask selecting the in-range bits of the last word of a row (all
   /// ones when NumBits is a multiple of the word size or zero).
@@ -136,11 +112,11 @@ public:
 
   Word *row(unsigned R) {
     assert(R < NRows && "row out of range");
-    return Words + static_cast<std::size_t>(R) * WStride;
+    return Words + static_cast<std::size_t>(R) * WPerRow;
   }
   const Word *row(unsigned R) const {
     assert(R < NRows && "row out of range");
-    return Words + static_cast<std::size_t>(R) * WStride;
+    return Words + static_cast<std::size_t>(R) * WPerRow;
   }
 
   /// Zeroes every row.
@@ -180,7 +156,7 @@ public:
   }
 
   /// True when every row honors the tail-word invariant (no bits past
-  /// bits() in the last data word). This is the bottom-row contract an
+  /// bits() in the last word). This is the bottom-row contract an
   /// Uninit writer must establish before rows are exported through
   /// borrowWords; the solver asserts it in Debug builds, where the
   /// 0xA5 poison guarantees a never-written row trips it whenever
@@ -196,28 +172,9 @@ public:
   }
 
 private:
-  static unsigned padStride(unsigned WordsPerRow) {
-    return (WordsPerRow + LaneWords - 1) / LaneWords * LaneWords;
-  }
-
-  static Word *allocWords(std::size_t N) {
-    if (!N)
-      return nullptr;
-    return static_cast<Word *>(
-        ::operator new(N * sizeof(Word), std::align_val_t(LaneBytes)));
-  }
-
-  void release() {
-    if (!Words)
-      return;
-    ::operator delete(Words, std::align_val_t(LaneBytes));
-    Words = nullptr;
-  }
-
   unsigned NRows = 0;
   unsigned NBits = 0;
   unsigned WPerRow = 0;
-  unsigned WStride = 0;
   std::size_t NWords = 0;
   Word *Words = nullptr; ///< Matrix storage; the class is move-only.
 };

@@ -351,16 +351,37 @@ TEST(NetFramingTest, MalformedFrameMatchesStdioErrorBytes) {
       "{\"x\":1e999}",
       std::string(200000, '['),
   };
+  // Well-formed frames whose program or analysis spec nests far past
+  // the parsers' bounds: each is a structured error payload.
+  std::string DeepProgram;
+  for (unsigned I = 0; I != 20000; ++I)
+    DeepProgram += "do i = 1, n\n";
+  DeepProgram += "v = 1\n";
+  for (unsigned I = 0; I != 20000; ++I)
+    DeepProgram += "enddo\n";
+  JsonWriter DeepSpec;
+  DeepSpec.beginObject();
+  DeepSpec.key("source").value(seededSource(0, 1, 8));
+  DeepSpec.key("options").beginObject();
+  DeepSpec.beginArray("analyses")
+      .value("universe items\ntransfer out = " + std::string(200000, '~') +
+             "in\n")
+      .endArray();
+  DeepSpec.endObject();
+  DeepSpec.endObject();
+  std::vector<std::string> Frames = Garbage;
+  Frames.push_back(requestLine("deep-program", DeepProgram));
+  Frames.push_back(DeepSpec.str());
 
-  // The stdio batch reference for the same garbage.
+  // The stdio batch reference for the same frames.
   ServiceConfig SerialConfig;
   SerialConfig.Workers = 0;
-  std::vector<std::string> Reference = BatchServer(SerialConfig).run(Garbage);
+  std::vector<std::string> Reference = BatchServer(SerialConfig).run(Frames);
 
   TestClient C;
   ASSERT_TRUE(C.dial(Server->port()));
   std::string Payload;
-  for (const std::string &Line : Garbage)
+  for (const std::string &Line : Frames)
     Payload += Line + "\n";
   // The server survives every one of them and answers the next frame.
   Payload += requestLine("after", seededSource(0, 1, 8)) + "\n";
@@ -368,7 +389,7 @@ TEST(NetFramingTest, MalformedFrameMatchesStdioErrorBytes) {
   C.finishSending();
 
   std::vector<std::string> Lines = splitLines(C.recvAll());
-  ASSERT_EQ(Lines.size(), Garbage.size() + 1);
+  ASSERT_EQ(Lines.size(), Frames.size() + 1);
   EXPECT_NE(Lines.back().find("\"id\":\"after\",\"result\":{\"ok\":true"),
             std::string::npos)
       << Lines.back();
@@ -378,7 +399,10 @@ TEST(NetFramingTest, MalformedFrameMatchesStdioErrorBytes) {
     std::string Got = Lines[I].substr(Lines[I].find(",\"result\""));
     std::string Want =
         Reference[I].substr(Reference[I].find(",\"result\""));
-    EXPECT_EQ(Got, Want) << Garbage[I];
+    EXPECT_EQ(Got, Want) << Frames[I].substr(0, 80);
+    if (I >= Garbage.size())
+      EXPECT_NE(Got.find("\"result\":{\"ok\":false"), std::string::npos)
+          << Got;
   }
   EXPECT_EQ(Server->metrics().Malformed.load(), Garbage.size());
   Server->requestDrain();

@@ -170,3 +170,88 @@ TEST(Parser, LhsSubscriptDeclaresArray) {
   const auto *Use = cast<AssignStmt>(Loop->getBody()[1].get());
   EXPECT_EQ(Use->getRHS()->getKind(), Expr::Kind::ArrayRef);
 }
+
+namespace {
+
+/// \p Depth nested `do` loops around one assignment.
+std::string doNest(unsigned Depth, const std::string &Body = "v = 1") {
+  std::string S;
+  for (unsigned I = 0; I != Depth; ++I)
+    S += "do i = 1, n\n";
+  S += Body + "\n";
+  for (unsigned I = 0; I != Depth; ++I)
+    S += "enddo\n";
+  return S;
+}
+
+/// \p Depth nested `if` blocks around one assignment.
+std::string ifNest(unsigned Depth) {
+  std::string S;
+  for (unsigned I = 0; I != Depth; ++I)
+    S += "if (n > 0) then\n";
+  S += "v = 1\n";
+  for (unsigned I = 0; I != Depth; ++I)
+    S += "endif\n";
+  return S;
+}
+
+std::string parens(unsigned Depth) {
+  return "v = " + std::string(Depth, '(') + "1" + std::string(Depth, ')') +
+         "\n";
+}
+
+std::string negations(unsigned Depth) {
+  return "v = " + std::string(Depth, '-') + "1\n";
+}
+
+/// `1+1+...` with \p Ops operators.
+std::string sumChain(unsigned Ops) {
+  std::string S = "1";
+  for (unsigned I = 0; I != Ops; ++I)
+    S += "+1";
+  return S;
+}
+
+/// The parse fails with exactly one error, the nesting bound's.
+void expectTooDeep(const std::string &Source, const char *Shape) {
+  ParseResult R = parseProgram(Source);
+  ASSERT_EQ(R.Errors.size(), 1u) << Shape;
+  EXPECT_NE(R.Errors.front().find("nesting deeper than " +
+                                  std::to_string(MaxNestingDepth)),
+            std::string::npos)
+      << Shape << ": " << R.Errors.front();
+}
+
+} // namespace
+
+TEST(Parser, NestingDepthIsBounded) {
+  // Inputs whose recursive parse or AST walks once exhausted the stack.
+  expectTooDeep(doNest(12000), "do nest");
+  expectTooDeep(ifNest(20000), "if nest");
+  expectTooDeep(parens(200000), "parentheses");
+  expectTooDeep(negations(200000), "unary minus");
+  expectTooDeep("x(1) = " + sumChain(149999) + "\n", "+ chain");
+
+  // One level past the bound, in each shape.
+  const unsigned Max = MaxNestingDepth;
+  expectTooDeep(doNest(Max + 1), "do nest");
+  expectTooDeep(ifNest(Max + 1), "if nest");
+  expectTooDeep(parens(Max + 1), "parentheses");
+  expectTooDeep(negations(Max + 1), "unary minus");
+  expectTooDeep("v = " + sumChain(Max + 1) + "\n", "+ chain");
+  // Statement nesting and expression nesting share the bound.
+  expectTooDeep(doNest(200, "v = " + sumChain(Max - 199)),
+                "chain in a loop nest");
+  expectTooDeep(doNest(Max, "x(1) = 1"), "subscript");
+
+  // Exactly at the bound, each shape parses.
+  for (const std::string &Source :
+       {doNest(Max), ifNest(Max), parens(Max), negations(Max),
+        "x(1) = " + sumChain(Max) + "\n",
+        doNest(200, "v = " + sumChain(Max - 200)),
+        doNest(Max - 1, "x(1) = 1")}) {
+    ParseResult R = parseProgram(Source);
+    EXPECT_TRUE(R.success()) << Source.substr(0, 40) << ": "
+                             << (R.Errors.empty() ? "" : R.Errors.front());
+  }
+}

@@ -72,6 +72,36 @@ TEST(Pipeline, ParseFailureIsDiagnosticNotExit) {
   EXPECT_TRUE(R.Annotated.empty());
 }
 
+namespace {
+
+/// \p Depth nested loops around one statement that reads and writes
+/// distributed arrays.
+std::string loopNest(unsigned Depth) {
+  std::string S = "distribute x, y\n";
+  for (unsigned I = 0; I != Depth; ++I)
+    S += "do i = 1, n\n";
+  S += "x(i) = y(i)\n";
+  for (unsigned I = 0; I != Depth; ++I)
+    S += "enddo\n";
+  return S;
+}
+
+} // namespace
+
+TEST(Pipeline, NestingBoundIsOneParseDiagnostic) {
+  // The deepest nest whose body may still subscript compiles through
+  // every stage.
+  PipelineResult AtBound = compilePipeline(loopNest(MaxNestingDepth - 1));
+  EXPECT_TRUE(AtBound.ok()) << AtBound.Diags.renderText();
+  EXPECT_FALSE(AtBound.Annotated.empty());
+
+  PipelineResult Deep = compilePipeline(loopNest(20000));
+  EXPECT_FALSE(Deep.ok());
+  EXPECT_EQ(Deep.Reached, PipelineStage::Frontend);
+  ASSERT_EQ(Deep.Diags.all().size(), 1u) << Deep.Diags.renderText();
+  EXPECT_EQ(Deep.Diags.all().front().Check, CheckId::Parse);
+}
+
 TEST(Pipeline, BuildFailureIsDiagnostic) {
   // Duplicate labels fail CFG construction.
   PipelineResult R = compilePipeline("5 continue\n5 continue\n");

@@ -26,7 +26,6 @@
 #include "service/Pipeline.h"
 #include "service/StageCache.h"
 #include "sim/TraceSimulator.h"
-#include "support/SimdKernels.h"
 
 #include <gtest/gtest.h>
 
@@ -163,12 +162,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, ::testing::Range(1u, 31u));
 // for both problem directions (READ is BEFORE, WRITE is AFTER with jump
 // poisoning). Every GntResult field — the ten Figure 13 variables plus
 // both EAGER and LAZY placements — must be byte-identical between the
-// arena solver and the classic per-equation oracle, under every SIMD
-// kernel variant. Because every equation is a bitwise AND/OR/ANDNOT, an
-// item's solution is also a function of its own init column alone: a
-// problem cut down to any subset of the items (a shard of the universe)
-// or to one representative per distinct column must reproduce exactly
-// the matching columns of the full solve. (The suite keeps its
+// arena solver and the classic per-equation oracle, and the same holds
+// for synthetic universes of up to 1,100 bits over each seed's graph.
+// Because every equation is a bitwise AND/OR/ANDNOT, an item's solution
+// is also a function of its own init column alone: a problem cut down
+// to any subset of the items (a shard of the universe) or to one
+// representative per distinct column must reproduce exactly the
+// matching columns of the full solve. (The suite keeps its
 // historical name; the sharded and compressed solvers it once checked
 // are gone, the lane property they relied on is still checked here.)
 
@@ -376,28 +376,52 @@ TEST_P(ShardInvariance, CompressionIsInvisibleInResultSignature) {
             resultSignature(R));
 }
 
-/// Every SIMD kernel variant this machine can run, byte-compared
-/// against the classic per-equation oracle. The kernel registry and
-/// the lane-padded arena sit below this contract; a divergence fails
-/// with the kernel named.
+namespace {
+
+/// \p Base's graph shape and NoHoist headers with a seeded synthetic
+/// \p Universe-bit universe: every node takes, gives and steals a random
+/// selection whose size grows with the universe, so every word of a
+/// row, the partial tail word included, carries bits.
+GntProblem wideProblem(const GntProblem &Base, unsigned Universe,
+                       unsigned Seed) {
+  std::mt19937 Rng(Seed);
+  const unsigned N = static_cast<unsigned>(Base.TakeInit.size());
+  GntProblem P(N, Universe, Base.Dir);
+  P.NoHoistHeaders = Base.NoHoistHeaders;
+  for (unsigned Node = 0; Node != N; ++Node) {
+    for (unsigned D = 0, E = Rng() % (2 + Universe / 8); D != E; ++D)
+      P.TakeInit[Node].set(Rng() % Universe);
+    for (unsigned D = 0, E = Rng() % (2 + Universe / 16); D != E; ++D)
+      P.GiveInit[Node].set(Rng() % Universe);
+    for (unsigned D = 0, E = Rng() % (2 + Universe / 32); D != E; ++D)
+      P.StealInit[Node].set(Rng() % Universe);
+  }
+  return P;
+}
+
+} // namespace
+
+/// Wide universes over each seed's graph, BEFORE and AFTER: 1 to 1,100
+/// bits (one partial word up to 18 words, with word-multiple and
+/// one-past sizes), arena vs classic on all 20 fields. Arena rows are
+/// packed, so a word loop that ran past its row would corrupt the
+/// neighbouring row and fail here.
 TEST_P(ShardInvariance, KernelShardCompressStealGridMatchesClassic) {
   auto B = buildProgram(makeProgram(GetParam(), 40, 0.1));
   ASSERT_TRUE(B.has_value());
   CommPlan Plan = generateComm(B->Prog, B->G, B->Ifg);
-  for (const std::optional<GntRun> *Slot : {&Plan.ReadRun, &Plan.WriteRun}) {
-    ASSERT_TRUE(Slot->has_value());
-    const GntRun &Run = **Slot;
-    const char *Problem =
-        Run.OrientedProblem.Dir == Direction::Before ? "READ" : "WRITE";
-    GntResult Classic =
-        solveGiveNTakeClassic(Run.OrientedIfg, Run.OrientedProblem);
-    for (const SolverKernels *K : availableSolverKernels()) {
-      detail::ScopedKernelOverride Force(*K);
-      GntResult Got = solveGiveNTake(Run.OrientedIfg, Run.OrientedProblem);
-      expectResultsIdentical(Classic, Got, Problem,
-                             std::string("kernel=") + K->Name);
+  for (const GntProblem *Base : {&Plan.ReadProblem, &Plan.WriteProblem})
+    for (unsigned Universe : {1u, 63u, 64u, 65u, 129u, 520u, 1100u}) {
+      GntRun Run = orientGiveNTake(
+          B->Ifg, wideProblem(*Base, Universe, GetParam() * 7919 + Universe));
+      GntResult Classic =
+          solveGiveNTakeClassic(Run.OrientedIfg, Run.OrientedProblem);
+      GntResult Arena = solveGiveNTake(Run.OrientedIfg, Run.OrientedProblem);
+      expectResultsIdentical(
+          Classic, Arena,
+          Base->Dir == Direction::Before ? "BEFORE" : "AFTER",
+          "universe=" + std::to_string(Universe));
     }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardInvariance, ::testing::Range(1u, 101u));

@@ -120,6 +120,32 @@ TEST(SpecLang, RejectsTransferSyntax) {
   expectRejected("universe items\ntransfer out = (take\n", "transfer-syntax");
   expectRejected("universe items\ntransfer out = blorp\n", "transfer-syntax");
   expectRejected("universe items\ntransfer in = take\n", "transfer-syntax");
+  // Nesting past MaxSpecExprDepth, which once exhausted the stack.
+  std::string Chain = "in";
+  for (unsigned I = 0; I != 99999; ++I)
+    Chain += "|in";
+  for (const std::string &Deep :
+       {std::string(200000, '~') + "in",
+        std::string(200000, '(') + "in" + std::string(200000, ')'), Chain})
+    expectRejected("universe items\ntransfer out = " + Deep + "\n",
+                   "transfer-syntax");
+}
+
+TEST(SpecLang, NestingAtTheBoundParses) {
+  const unsigned Max = MaxSpecExprDepth;
+  std::string Chain = "in";
+  for (unsigned I = 0; I != Max; ++I)
+    Chain += "|in";
+  for (const std::string &Expr :
+       {std::string(Max, '~') + "in",
+        std::string(Max, '(') + "in" + std::string(Max, ')'), Chain}) {
+    SpecParseResult R =
+        parseAndLintAnalysisSpec("universe items\ntransfer out = " + Expr);
+    EXPECT_TRUE(R.ok()) << R.Diags.renderText();
+    R = parseAndLintAnalysisSpec("universe items\ntransfer out = (" + Expr +
+                                 ")");
+    EXPECT_TRUE(hasRule(R.Diags, "transfer-syntax")) << R.Diags.renderText();
+  }
 }
 
 TEST(SpecLang, RejectsInInsideGenKillSugar) {
