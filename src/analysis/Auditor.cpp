@@ -6,19 +6,13 @@
 ///
 /// Check catalogue and the argument for each:
 ///
-///  C1 (balance) is solved on a paired universe of 2U bits — bit i is
-///  "item i has an unmatched eager production (send) on some path", bit
-///  U+i is "item i is clear on some path". Eager productions are send
-///  events (gen pending / kill clear), lazy productions are receive
-///  events (gen clear / kill pending); the two per-point events compose
-///  into one gen/kill pair per node and per edge, so the generic engine
-///  solves the whole state machine as a forward may-problem. A second
-///  send while pending, a receive while clear, or pending state at a
-///  terminal node is a violation.
-///
-///  C3/O1 re-derive must-availability with the engine's round-robin mode
-///  (the at-least-one-trip loop-exit rule reads the latch, a non-local
-///  edge dependency).
+///  C1 (balance), C3 (sufficiency) and O1 (no re-production) have one
+///  implementation, dataflow/Verifier's verifyGntRun. Its findings pass
+///  through the reporter here, so the per-check cap applies to them:
+///  C1/C3 under AuditOptions::CheckCorrectness, O1 under
+///  CheckOptimality. The verifier runs only when one of the two is on;
+///  its one IFG finding (no unique start node) is always kept and ends
+///  the run audit.
 ///
 ///  O2 flags placed productions that no path consumes, from an
 ///  engine-solved backward may-liveness of productions. Placements
@@ -45,6 +39,7 @@
 
 #include "analysis/GntProblems.h"
 #include "analysis/ReferenceSolver.h"
+#include "dataflow/Verifier.h"
 #include "support/Support.h"
 
 #include <algorithm>
@@ -76,12 +71,6 @@ public:
   void report(DiagSeverity Sev, CheckId Check, const char *Solution,
               NodeId Node, int Item, std::string Msg,
               std::string Hint = std::string()) {
-    unsigned Idx = static_cast<unsigned>(Check);
-    if (Opts.MaxDiagsPerCheck && Emitted[Idx] >= Opts.MaxDiagsPerCheck) {
-      ++Suppressed[Idx];
-      return;
-    }
-    ++Emitted[Idx];
     Diagnostic D;
     D.Severity = Sev;
     D.Check = Check;
@@ -92,6 +81,17 @@ public:
       D.ItemName = itemName(Names, static_cast<unsigned>(Item));
     D.Message = std::move(Msg);
     D.FixHint = std::move(Hint);
+    add(std::move(D));
+  }
+
+  /// Adds a finished diagnostic, subject to the cap.
+  void add(Diagnostic D) {
+    unsigned Idx = static_cast<unsigned>(D.Check);
+    if (Opts.MaxDiagsPerCheck && Emitted[Idx] >= Opts.MaxDiagsPerCheck) {
+      ++Suppressed[Idx];
+      return;
+    }
+    ++Emitted[Idx];
     Out.Diags.add(std::move(D));
   }
 
@@ -358,21 +358,21 @@ public:
   RunAuditor(const GntRun &Run, const AuditOptions &Opts, Reporter &Rep,
              AuditResult &Out)
       : Run(Run), Ifg(Run.OrientedIfg), P(Run.OrientedProblem), R(Run.Result),
-        Opts(Opts), Rep(Rep), Out(Out), N(Ifg.size()), U(P.UniverseSize) {}
+        Opts(Opts), Rep(Rep), Out(Out), N(Ifg.size()) {}
 
   void run() {
-    Start = findStart();
-    if (Start == InvalidNode) {
-      Rep.report(DiagSeverity::Error, CheckId::Ifg, nullptr, ~0u, -1,
-                 "oriented graph has no unique start node");
-      return;
-    }
     if (Opts.CheckCorrectness || Opts.CheckOptimality) {
-      checkSufficiencyAndO1(Urgency::Eager);
-      checkSufficiencyAndO1(Urgency::Lazy);
+      // The verifier reports C1/C3 (correctness), O1 (optimality) and,
+      // on a graph without a unique start node, one IFG error.
+      GntVerifyResult V = verifyGntRun(Run, Rep.names());
+      for (const Diagnostic &D : V.Diags.all())
+        if (D.Check == CheckId::Ifg ||
+            (D.Check == CheckId::O1 ? Opts.CheckOptimality
+                                    : Opts.CheckCorrectness))
+          Rep.add(D);
+      if (V.Diags.contains(CheckId::Ifg))
+        return;
     }
-    if (Opts.CheckCorrectness)
-      checkBalance();
     if (Opts.CheckOptimality) {
       checkLiveness(Urgency::Eager);
       checkLiveness(Urgency::Lazy);
@@ -388,23 +388,8 @@ private:
     return Urg == Urgency::Eager ? R.Eager : R.Lazy;
   }
 
-  NodeId findStart() const {
-    NodeId Found = InvalidNode;
-    for (NodeId Node = 0; Node != N; ++Node) {
-      bool HasRealPred = false;
-      for (const IfgEdge &E : Ifg.preds(Node))
-        HasRealPred |= isRealEdge(E.Type);
-      if (!HasRealPred) {
-        if (Found != InvalidNode)
-          return InvalidNode;
-        Found = Node;
-      }
-    }
-    return Found;
-  }
-
-  DataflowResult solve(const DataflowSpec &Spec, SolveMode Mode) {
-    DataflowResult D = solveDataflow(Ifg, Spec, Mode);
+  DataflowResult solve(const DataflowSpec &Spec) {
+    DataflowResult D = solveDataflow(Ifg, Spec);
     ++Out.Stats.EngineSolves;
     Out.Stats.Engine.Iterations += D.Stats.Iterations;
     Out.Stats.Engine.NodeVisits += D.Stats.NodeVisits;
@@ -415,199 +400,6 @@ private:
   }
 
   std::string named(unsigned Item) const { return itemName(Rep.names(), Item); }
-
-  //===--------------------------------------------------------------------===//
-  // C3 + O1: engine-solved must-availability.
-  //===--------------------------------------------------------------------===//
-
-  void checkSufficiencyAndO1(Urgency Urg) {
-    const GntPlacement &Pl = placement(Urg);
-    const char *Tag = urgencyTag(Urg);
-    DataflowSpec Spec = makeAvailabilitySpec(Run, Urg);
-    // The loop-exit arm reads the latch's value: a non-local edge
-    // dependency, so round-robin it is.
-    DataflowResult D = solve(Spec, SolveMode::RoundRobin);
-
-    for (NodeId Node = 0; Node != N; ++Node) {
-      if (Opts.CheckCorrectness) {
-        // C3: every consumption covered at its own node.
-        BitVector Need = P.TakeInit[Node];
-        Need.reset(D.Out[Node]);
-        for (unsigned I : Need)
-          Rep.report(DiagSeverity::Error, CheckId::C3, Tag, Node,
-                     static_cast<int>(I),
-                     "consumes " + named(I) +
-                         " which is not available on all incoming paths",
-                     "a production must dominate this consumer with no "
-                     "intervening steal");
-      }
-      if (!Opts.CheckOptimality)
-        continue;
-      // O1 at the entry: compare against the meet over non-CYCLE real
-      // incoming edges (entry production is not applied on CYCLE edges,
-      // so cycle-side availability cannot make it redundant).
-      BitVector EntryAvail(U, true);
-      bool Any = false;
-      for (const IfgEdge &E : Ifg.preds(Node)) {
-        if (!isRealEdge(E.Type) || E.Type == EdgeType::Cycle)
-          continue;
-        BitVector A = availabilityOverEdge(Run, Urg, E, D.Out);
-        if (!Any) {
-          EntryAvail = std::move(A);
-          Any = true;
-        } else {
-          EntryAvail &= A;
-        }
-      }
-      if (!Any)
-        EntryAvail.reset();
-      BitVector Re = Pl.ResIn[Node];
-      Re &= EntryAvail;
-      for (unsigned I : Re)
-        Rep.report(DiagSeverity::Note, CheckId::O1, Tag, Node,
-                   static_cast<int>(I), "re-produces " + named(I),
-                   "drop the redundant production at the node entry");
-      // O1 at the exit.
-      BitVector AfterSteal = D.Out[Node];
-      AfterSteal |= P.GiveInit[Node];
-      AfterSteal.reset(P.StealInit[Node]);
-      BitVector ReOut = Pl.ResOut[Node];
-      ReOut &= AfterSteal;
-      for (unsigned I : ReOut)
-        Rep.report(DiagSeverity::Note, CheckId::O1, Tag, Node,
-                   static_cast<int>(I),
-                   "re-produces " + named(I) + " at its exit",
-                   "drop the redundant production at the node exit");
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // C1: engine-solved balance state machine on a paired 2U universe.
-  //===--------------------------------------------------------------------===//
-
-  BitVector liftPend(const BitVector &V) const {
-    BitVector L(2 * U);
-    for (unsigned I : V)
-      L.set(I);
-    return L;
-  }
-  BitVector liftClear(const BitVector &V) const {
-    BitVector L(2 * U);
-    for (unsigned I : V)
-      L.set(U + I);
-    return L;
-  }
-  BitVector pendHalf(const BitVector &S) const {
-    BitVector H(U);
-    for (unsigned I = 0; I != U; ++I)
-      if (S.test(I))
-        H.set(I);
-    return H;
-  }
-  BitVector clearHalf(const BitVector &S) const {
-    BitVector H(U);
-    for (unsigned I = 0; I != U; ++I)
-      if (S.test(U + I))
-        H.set(I);
-    return H;
-  }
-
-  /// Applies a send (eager production) followed by a receive (lazy
-  /// production) to a paired state.
-  BitVector applyEvents(BitVector S, const BitVector &Send,
-                        const BitVector &Recv) const {
-    S.reset(liftClear(Send));
-    S |= liftPend(Send);
-    S.reset(liftPend(Recv));
-    S |= liftClear(Recv);
-    return S;
-  }
-
-  void checkBalance() {
-    DataflowSpec Spec;
-    Spec.Direction = FlowDirection::Forward;
-    Spec.Meet = Confluence::Any;
-    Spec.UniverseSize = 2 * U;
-    Spec.Gen.resize(N);
-    Spec.Kill.resize(N);
-    for (NodeId Node = 0; Node != N; ++Node) {
-      // Exit events, composed: send(EAGER RES_out) then recv(LAZY
-      // RES_out). Gen applies after Kill in the engine's transfer.
-      BitVector SendOnly = R.Eager.ResOut[Node];
-      SendOnly.reset(R.Lazy.ResOut[Node]);
-      BitVector G = liftPend(SendOnly);
-      G |= liftClear(R.Lazy.ResOut[Node]);
-      BitVector K = liftPend(R.Lazy.ResOut[Node]);
-      K |= liftClear(SendOnly);
-      Spec.Gen[Node] = std::move(G);
-      Spec.Kill[Node] = std::move(K);
-    }
-    {
-      // Initially every item is clear; the start node's entry events
-      // apply before any flow.
-      BitVector S0(2 * U);
-      for (unsigned I = 0; I != U; ++I)
-        S0.set(U + I);
-      Spec.Boundary =
-          applyEvents(std::move(S0), R.Eager.ResIn[Start], R.Lazy.ResIn[Start]);
-    }
-    const GntResult *RP = &R;
-    auto *Self = this;
-    Spec.EdgeTransfer = [RP, Self](const IfgEdge &E,
-                                   const std::vector<BitVector> &NodeOut) {
-      BitVector S = NodeOut[E.Src];
-      if (E.Type != EdgeType::Cycle)
-        S = Self->applyEvents(std::move(S), RP->Eager.ResIn[E.Dst],
-                              RP->Lazy.ResIn[E.Dst]);
-      return S;
-    };
-    DataflowResult D = solve(Spec, SolveMode::Worklist);
-
-    std::set<std::pair<NodeId, std::string>> Reported;
-    auto reportC1 = [&](NodeId Node, unsigned Item, const char *What) {
-      std::string Msg = std::string(What) + " of " + named(Item);
-      if (Reported.insert({Node, Msg}).second)
-        Rep.report(DiagSeverity::Error, CheckId::C1, nullptr, Node,
-                   static_cast<int>(Item), std::move(Msg),
-                   "eager and lazy productions must alternate on every path");
-    };
-    auto checkEvents = [&](const BitVector &State, const BitVector &Send,
-                           const BitVector &Recv, NodeId At) {
-      BitVector BadSend = Send;
-      BadSend &= pendHalf(State);
-      for (unsigned I : BadSend)
-        reportC1(At, I, "unmatched second eager production (send)");
-      BitVector BadRecv = clearHalf(State);
-      BadRecv.reset(Send); // The send (applied first) un-clears its items.
-      BadRecv &= Recv;
-      for (unsigned I : BadRecv)
-        reportC1(At, I, "lazy production (receive) without prior send");
-    };
-
-    {
-      BitVector S0(2 * U);
-      for (unsigned I = 0; I != U; ++I)
-        S0.set(U + I);
-      checkEvents(S0, R.Eager.ResIn[Start], R.Lazy.ResIn[Start], Start);
-    }
-    for (NodeId Node = 0; Node != N; ++Node) {
-      // D.In is the may-state after the node's entry events; exit events
-      // are checked against it, edge arrivals against D.Out.
-      checkEvents(D.In[Node], R.Eager.ResOut[Node], R.Lazy.ResOut[Node], Node);
-      bool HasRealSucc = false;
-      for (const IfgEdge &E : Ifg.succs(Node)) {
-        if (!isRealEdge(E.Type))
-          continue;
-        HasRealSucc = true;
-        if (E.Type != EdgeType::Cycle)
-          checkEvents(D.Out[Node], R.Eager.ResIn[E.Dst], R.Lazy.ResIn[E.Dst],
-                      E.Dst);
-      }
-      if (!HasRealSucc)
-        for (unsigned I : pendHalf(D.Out[Node]))
-          reportC1(Node, I, "eager production (send) never matched at exit");
-    }
-  }
 
   //===--------------------------------------------------------------------===//
   // O2: engine-solved production liveness.
@@ -624,7 +416,7 @@ private:
         Jumps ? "possibly forced by JUMP-edge projection; check the jump paths"
               : "no path consumes this production before it is voided";
     DataflowSpec Spec = makeProductionLivenessSpec(Run, Urg);
-    DataflowResult D = solve(Spec, SolveMode::Worklist);
+    DataflowResult D = solve(Spec);
     for (NodeId Node = 0; Node != N; ++Node) {
       // Out = liveness just below the entry production point; In = just
       // below the exit production point (backward orientation).
@@ -706,7 +498,7 @@ private:
     if (Ifg.hasJumpEdges())
       return;
     DataflowSpec Spec = makeAnticipabilitySpec(Run);
-    DataflowResult D = solve(Spec, SolveMode::Worklist);
+    DataflowResult D = solve(Spec);
     for (NodeId Node = 0; Node != N; ++Node) {
       // Backward orientation: Out = anticipability at the node entry,
       // In = at the node exit.
@@ -812,8 +604,7 @@ private:
   const AuditOptions &Opts;
   Reporter &Rep;
   AuditResult &Out;
-  const unsigned N, U;
-  NodeId Start = InvalidNode;
+  const unsigned N;
 };
 
 } // namespace

@@ -11,11 +11,9 @@
 ///  - IFG:  structural lint of the interval flow graph (interval
 ///          nesting, unique CYCLE/ENTRY edges, no critical edges,
 ///          SYNTHETIC edge projection consistency, preorder sanity);
-///  - C1:   production balance along every path (via the generic
-///          dataflow engine over a paired pending/clear universe);
-///  - C3:   sufficiency — every consumer covered on all incoming paths
-///          (engine-solved must-availability);
-///  - O1:   no production of an already-available item (notes);
+///  - C1, C3, O1: balance, sufficiency and no re-production, from
+///          dataflow/Verifier's verifyGntRun (the one implementation of
+///          these checks), passed through the per-check cap;
 ///  - O2:   no production that no consumer ever uses (engine-solved
 ///          production liveness; warnings — conservative placements
 ///          forced by JUMP-edge projection can trip it legitimately);

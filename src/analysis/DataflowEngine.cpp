@@ -53,8 +53,7 @@ public:
     R.In.assign(N, BitVector(U, Top));
     R.Out.assign(N, BitVector(U, Top));
     Boundary = Spec.Boundary.size() == U ? Spec.Boundary : BitVector(U);
-    // Boundary nodes have no meet inputs; pin them immediately so both
-    // strategies see the same starting point.
+    // Boundary nodes have no meet inputs; pin them immediately.
     for (NodeId Node = 0; Node != N; ++Node)
       if (InEdges[Node].empty()) {
         R.In[Node] = Boundary;
@@ -62,11 +61,31 @@ public:
       }
   }
 
-  DataflowResult solve(SolveMode Mode) {
-    if (Mode == SolveMode::Worklist)
-      runWorklist();
+  DataflowResult solve() {
+    std::deque<NodeId> Work;
+    std::vector<char> InWork(N, 1);
+    // Seed in flow order so the first pass already propagates far.
+    const std::vector<NodeId> &Pre = Ifg.preorder();
+    if (Spec.Direction == FlowDirection::Forward)
+      Work.assign(Pre.begin(), Pre.end());
     else
-      runRoundRobin();
+      Work.assign(Pre.rbegin(), Pre.rend());
+    R.Stats.WorklistPeak = static_cast<unsigned>(Work.size());
+    while (!Work.empty()) {
+      NodeId Node = Work.front();
+      Work.pop_front();
+      InWork[Node] = 0;
+      ++R.Stats.Iterations;
+      if (!update(Node))
+        continue;
+      for (NodeId S : FlowSuccs[Node])
+        if (!InWork[S]) {
+          InWork[S] = 1;
+          Work.push_back(S);
+        }
+      R.Stats.WorklistPeak = std::max(
+          R.Stats.WorklistPeak, static_cast<unsigned>(Work.size()));
+    }
     return std::move(R);
   }
 
@@ -112,49 +131,6 @@ private:
     return Changed;
   }
 
-  void runWorklist() {
-    std::deque<NodeId> Work;
-    std::vector<char> InWork(N, 1);
-    // Seed in flow order so the first pass already propagates far.
-    const std::vector<NodeId> &Pre = Ifg.preorder();
-    if (Spec.Direction == FlowDirection::Forward)
-      Work.assign(Pre.begin(), Pre.end());
-    else
-      Work.assign(Pre.rbegin(), Pre.rend());
-    R.Stats.WorklistPeak = static_cast<unsigned>(Work.size());
-    while (!Work.empty()) {
-      NodeId Node = Work.front();
-      Work.pop_front();
-      InWork[Node] = 0;
-      ++R.Stats.Iterations;
-      if (!update(Node))
-        continue;
-      for (NodeId S : FlowSuccs[Node])
-        if (!InWork[S]) {
-          InWork[S] = 1;
-          Work.push_back(S);
-        }
-      R.Stats.WorklistPeak = std::max(
-          R.Stats.WorklistPeak, static_cast<unsigned>(Work.size()));
-    }
-  }
-
-  void runRoundRobin() {
-    const std::vector<NodeId> &Pre = Ifg.preorder();
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      ++R.Stats.Iterations;
-      if (Spec.Direction == FlowDirection::Forward) {
-        for (NodeId Node : Pre)
-          Changed |= update(Node);
-      } else {
-        for (auto It = Pre.rbegin(), E = Pre.rend(); It != E; ++It)
-          Changed |= update(*It);
-      }
-    }
-  }
-
   const IntervalFlowGraph &Ifg;
   const DataflowSpec &Spec;
   const unsigned N, U;
@@ -168,7 +144,7 @@ private:
 } // namespace
 
 DataflowResult gnt::solveDataflow(const IntervalFlowGraph &Ifg,
-                                  const DataflowSpec &Spec, SolveMode Mode) {
+                                  const DataflowSpec &Spec) {
   Solver S(Ifg, Spec);
-  return S.solve(Mode);
+  return S.solve();
 }

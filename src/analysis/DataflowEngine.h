@@ -21,16 +21,9 @@
 /// paper's loop-header subtleties, e.g. entry production firing on
 /// non-CYCLE edges only).
 ///
-/// Two evaluation strategies are provided:
-///  - Worklist: seeded with every node, propagating only where inputs
-///    changed. Correct whenever each edge value depends only on the
-///    source node's value (always true for pure gen/kill problems).
-///  - RoundRobin: repeated full sweeps in (reverse) preorder until a
-///    fixed point. Required when an edge transfer reads *other* nodes'
-///    values (e.g. the at-least-one-trip loop-exit rule reads the latch).
-///
-/// Both report iteration/visit statistics so tests and tools can observe
-/// convergence behaviour.
+/// The solver is a worklist seeded with every node in flow order,
+/// propagating only where inputs changed; it reports iteration/visit
+/// statistics so tests and tools can observe convergence behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,9 +43,6 @@ enum class FlowDirection { Forward, Backward };
 /// Path quantification at merge points: Any = union (may, "some path"),
 /// All = intersection (must, "all paths").
 enum class Confluence { Any, All };
-
-/// Evaluation strategy; see the file comment.
-enum class SolveMode { Worklist, RoundRobin };
 
 /// A monotone dataflow problem instance over \p UniverseSize-bit sets.
 struct DataflowSpec {
@@ -75,8 +65,9 @@ struct DataflowSpec {
 
   /// Optional replacement for the value flowing across an edge. Receives
   /// the edge and the current per-node *out* values (in flow
-  /// orientation); must be monotone in them. When it reads values of
-  /// nodes other than the edge source, solve with SolveMode::RoundRobin.
+  /// orientation); must be monotone in them and read only the edge's
+  /// flow source, since the worklist revisits a node only when one of
+  /// its flow predecessors changes.
   std::function<BitVector(const IfgEdge &,
                           const std::vector<BitVector> &NodeOut)>
       EdgeTransfer;
@@ -84,10 +75,10 @@ struct DataflowSpec {
 
 /// Convergence statistics of one solve.
 struct DataflowStats {
-  unsigned Iterations = 0;      ///< Sweeps (RoundRobin) or pops (Worklist).
+  unsigned Iterations = 0;      ///< Worklist pops.
   unsigned NodeVisits = 0;      ///< Node transfer evaluations.
   unsigned EdgeEvaluations = 0; ///< Edge value computations.
-  unsigned WorklistPeak = 0;    ///< Max worklist length (0 for RoundRobin).
+  unsigned WorklistPeak = 0;    ///< Max worklist length.
 };
 
 /// Fixed-point solution. For forward problems In[n] is the value at the
@@ -104,8 +95,7 @@ struct DataflowResult {
 /// point. Interior nodes start at bottom for Any confluence and at top
 /// for All confluence.
 DataflowResult solveDataflow(const IntervalFlowGraph &Ifg,
-                             const DataflowSpec &Spec,
-                             SolveMode Mode = SolveMode::Worklist);
+                             const DataflowSpec &Spec);
 
 } // namespace gnt
 

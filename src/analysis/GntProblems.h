@@ -6,24 +6,19 @@
 ///
 /// \file
 /// Declarative monotone-framework problem definitions over a GIVE-N-TAKE
-/// run, expressed as gen/kill transfer functions (plus per-edge hooks for
-/// the paper's loop-header placement semantics). The auditor solves these
-/// with the generic DataflowEngine to independently re-derive facts the
-/// elimination solver only establishes implicitly:
+/// run, expressed as gen/kill transfer functions (plus a per-edge hook
+/// for the paper's loop-header placement semantics). The auditor solves
+/// these with the generic DataflowEngine to independently re-derive facts
+/// the elimination solver only establishes implicitly:
 ///
-///  - availability: items guaranteed produced on all incoming paths with
-///    no intervening steal, under the paper's at-least-one-trip loop
-///    optimism (drives the C3 and O1 re-checks);
 ///  - anticipability: items consumed on some path onward before being
 ///    stolen (drives speculation accounting);
 ///  - production liveness: placed productions that some path actually
-///    consumes (drives the O2 useless-producer audit);
-///  - steal reachability: items arriving voided by a steal with no
-///    re-production since (drives re-production statistics).
+///    consumes (drives the O2 useless-producer audit).
 ///
-/// All specs are formulated on the run's *oriented* graph and problem
-/// (AFTER problems run reversed); the returned closures keep references
-/// into \p Run, which must outlive the spec.
+/// Both specs are formulated on the run's *oriented* graph and problem
+/// (AFTER problems run reversed); the liveness spec's edge hook keeps a
+/// reference into \p Run, which must outlive the spec.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,44 +30,17 @@
 
 namespace gnt {
 
-/// Must-availability of solution \p U's productions, forward over real
-/// edges. The fixed-point value at node n is the availability right
-/// after n's entry production (applied on non-CYCLE incoming edges only,
-/// matching Figure 14's placement of header productions above the loop).
-/// Loop-exit edges take the latch-side value (at-least-one-trip
-/// optimism). The edge transfer reads latch values of other nodes, so
-/// this spec requires SolveMode::RoundRobin.
-DataflowSpec makeAvailabilitySpec(const GntRun &Run, Urgency U);
-
 /// May-anticipability of consumption, backward over real edges: an item
 /// is anticipated at a point if some path onward consumes it before it
-/// is stolen. Pure gen/kill (TAKE_init generates, STEAL_init kills);
-/// worklist-safe.
+/// is stolen. Pure gen/kill (TAKE_init generates, STEAL_init kills).
 DataflowSpec makeAnticipabilitySpec(const GntRun &Run);
 
 /// May-liveness of solution \p U's productions, backward over real
 /// edges: an item is live at a point if some path onward consumes it
 /// before a steal, a free production (GIVE_init) or another placed
 /// production resupplies it. The value at node n is the liveness just
-/// below n's entry-production point. Worklist-safe.
+/// below n's entry-production point.
 DataflowSpec makeProductionLivenessSpec(const GntRun &Run, Urgency U);
-
-/// May-steal-reachability for solution \p U, forward over real edges: an
-/// item is "voided" at a point if some path from the start steals it
-/// after the last (re-)production. The value at node n is the voided set
-/// at n's exit. Worklist-safe.
-DataflowSpec makeStealReachabilitySpec(const GntRun &Run, Urgency U);
-
-/// The availability of \p U's productions flowing across \p E, *before*
-/// the destination's entry production, given the per-node availability
-/// fixpoint \p AvailBody (the Out values of makeAvailabilitySpec).
-/// Implements the verifier's edge semantics: ENTRY edges carry GIVEN(h)
-/// flow (no steal subtraction at the loop boundary), non-ENTRY edges
-/// leaving a header use the latch-side value (at-least-one-trip
-/// optimism), everything else is plain node-exit availability.
-BitVector availabilityOverEdge(const GntRun &Run, Urgency U,
-                               const IfgEdge &E,
-                               const std::vector<BitVector> &AvailBody);
 
 } // namespace gnt
 

@@ -11,10 +11,7 @@
 #include "pre/ExprPre.h"
 #include "support/Hashing.h"
 #include "support/Json.h"
-#include "support/SimdKernels.h"
 #include "support/Support.h"
-
-#include <algorithm>
 
 using namespace gnt;
 
@@ -108,31 +105,30 @@ SpecUniverseData gnt::buildSpecUniverse(SpecUniverse U, const Program &P,
 // Compilation: normalize to gen/kill
 //===----------------------------------------------------------------------===//
 
-CompiledAnalysis gnt::compileAnalysisSpec(const AnalysisSpec &Spec,
-                                          const SpecUniverseData &Data,
+namespace {
+
+/// Row \p Node of a universe init set; rows past the end read as empty.
+const BitVector &initRow(const std::vector<BitVector> &Rows, unsigned Node,
+                         const BitVector &Empty) {
+  return Node < Rows.size() ? Rows[Node] : Empty;
+}
+
+} // namespace
+
+CompiledAnalysis gnt::compileAnalysisSpec(AnalysisSpec Spec,
+                                          SpecUniverseData Data,
                                           unsigned NumNodes) {
   CompiledAnalysis C;
-  C.Name = Spec.Name;
-  C.Universe = Spec.Universe;
-  C.Direction = Spec.Direction;
-  C.Meet = Spec.Meet;
-  C.IncludeSyntheticEdges = Spec.IncludeSyntheticEdges;
   C.NumNodes = NumNodes;
-  C.UniverseSize = Data.Size;
-  C.ItemNames = Data.Names;
-  C.Boundary = BitVector(Data.Size, Spec.BoundaryAll);
 
   const unsigned U = Data.Size;
   const BitVector EmptyRow(U);
   C.Gen.assign(NumNodes, EmptyRow);
   C.Kill.assign(NumNodes, EmptyRow);
   for (unsigned Node = 0; Node != NumNodes; ++Node) {
-    const BitVector &Take = Node < Data.Take.size() ? Data.Take[Node]
-                                                    : EmptyRow;
-    const BitVector &Give = Node < Data.Give.size() ? Data.Give[Node]
-                                                    : EmptyRow;
-    const BitVector &Steal = Node < Data.Steal.size() ? Data.Steal[Node]
-                                                      : EmptyRow;
+    const BitVector &Take = initRow(Data.Take, Node, EmptyRow);
+    const BitVector &Give = initRow(Data.Give, Node, EmptyRow);
+    const BitVector &Steal = initRow(Data.Steal, Node, EmptyRow);
     if (Spec.Transfer) {
       // Gen = f(empty); Kill = ~f(all). Exact for lane-wise monotone
       // templates: per lane f is one of {0, 1, in}, and the two extreme
@@ -152,226 +148,122 @@ CompiledAnalysis gnt::compileAnalysisSpec(const AnalysisSpec &Spec,
             evalSetExpr(*Spec.KillExpr, U, EmptyRow, Take, Give, Steal);
     }
   }
+  C.Spec = std::move(Spec);
+  C.Data = std::move(Data);
   return C;
 }
 
 //===----------------------------------------------------------------------===//
-// Iterative backend (the oracle)
+// Solve and fixed-point check
 //===----------------------------------------------------------------------===//
 
-DataflowResult gnt::runAnalysisIterative(const CompiledAnalysis &C,
-                                         const IntervalFlowGraph &Ifg) {
-  DataflowSpec Spec;
-  Spec.Direction = C.Direction;
-  Spec.Meet = C.Meet;
-  Spec.UniverseSize = C.UniverseSize;
-  Spec.Gen = C.Gen;
-  Spec.Kill = C.Kill;
-  Spec.Boundary = C.Boundary;
-  if (C.IncludeSyntheticEdges)
-    Spec.EdgeFilter = [](const IfgEdge &) { return true; };
-  return solveDataflow(Ifg, Spec, SolveMode::Worklist);
-}
-
-//===----------------------------------------------------------------------===//
-// Arena backend: flat round-robin word sweeps
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-using Word = BitVector::Word;
-
-/// Per-node flow predecessors under the spec's edge filter, in flow
-/// orientation — the exact meet inputs of the iterative engine.
-std::vector<std::vector<NodeId>> flowPreds(const CompiledAnalysis &C,
-                                           const IntervalFlowGraph &Ifg) {
-  std::vector<std::vector<NodeId>> Preds(C.NumNodes);
-  const bool Fwd = C.Direction == FlowDirection::Forward;
+DiagnosticSet gnt::checkAnalysisFixedPoint(const CompiledAnalysis &C,
+                                           const IntervalFlowGraph &Ifg,
+                                           const std::vector<BitVector> &In,
+                                           const std::vector<BitVector> &Out) {
+  const AnalysisSpec &S = C.Spec;
+  const unsigned U = C.Data.Size;
+  const bool Fwd = S.Direction == FlowDirection::Forward;
+  std::vector<std::vector<NodeId>> FlowPreds(C.NumNodes);
   for (NodeId Node = 0; Node != Ifg.size(); ++Node)
-    for (const IfgEdge &E : Ifg.succs(Node)) {
-      if (!C.IncludeSyntheticEdges && E.Type == EdgeType::Synthetic)
-        continue;
-      Preds[Fwd ? E.Dst : E.Src].push_back(Fwd ? E.Src : E.Dst);
-    }
-  return Preds;
-}
+    for (const IfgEdge &E : Ifg.succs(Node))
+      if (S.IncludeSyntheticEdges || E.Type != EdgeType::Synthetic)
+        FlowPreds[Fwd ? E.Dst : E.Src].push_back(Fwd ? E.Src : E.Dst);
 
-/// Sweep order: preorder for forward flow, reverse preorder backward —
-/// the round-robin schedule of the iterative engine.
-std::vector<NodeId> sweepOrder(const CompiledAnalysis &C,
-                               const IntervalFlowGraph &Ifg) {
-  std::vector<NodeId> Order = Ifg.preorder();
-  if (C.Direction == FlowDirection::Backward)
-    std::reverse(Order.begin(), Order.end());
-  return Order;
-}
-
-/// The gen/kill transfer over one row: Out = (In & ~Kill) | Gen.
-/// Returns the OR of (old ^ new) over Out, so the sweep gets change
-/// detection from the same pass.
-Word fuseTransfer(unsigned W, Word *__restrict Out,
-                  const Word *__restrict In, const Word *__restrict Gen,
-                  const Word *__restrict Kill) {
-  Word Diff = 0;
-  for (unsigned K = 0; K != W; ++K) {
-    Word NV = (In[K] & ~Kill[K]) | Gen[K];
-    Diff |= Out[K] ^ NV;
-    Out[K] = NV;
-  }
-  return Diff;
-}
-
-/// Solves \p C into \p In / \p Out (already initialized and
-/// boundary-pinned) by round-robin sweeps; returns the sweep count.
-unsigned sweepToFixedPoint(const CompiledAnalysis &C,
-                           const std::vector<std::vector<NodeId>> &Preds,
-                           const std::vector<NodeId> &Order,
-                           const DataflowMatrix &GenM,
-                           const DataflowMatrix &KillM, DataflowMatrix &In,
-                           DataflowMatrix &Out) {
-  const unsigned W = In.wordsPerRow();
-  if (W == 0)
-    return 0;
-  const bool AllMeet = C.Meet == Confluence::All;
-  std::vector<Word> Tmp(W);
-  unsigned Sweeps = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    ++Sweeps;
-    for (NodeId Node : Order) {
-      const std::vector<NodeId> &P = Preds[Node];
-      if (P.empty())
-        continue; // Pinned to the boundary value.
-      rowCopy(Tmp.data(), Out.row(P[0]), W);
-      for (size_t K = 1; K != P.size(); ++K) {
-        const Word *PR = Out.row(P[K]);
-        if (AllMeet)
-          rowAnd(Tmp.data(), PR, W);
-        else
-          rowOr(Tmp.data(), PR, W);
-      }
-      rowCopy(In.row(Node), Tmp.data(), W);
-      // fuseTransfer stores the (possibly identical) value back
-      // unconditionally and reports the XOR of old and new; the sweep
-      // only needs to know whether *anything* moved.
-      Word Diff = fuseTransfer(W, Out.row(Node), Tmp.data(), GenM.row(Node),
-                               KillM.row(Node));
-      Changed |= Diff != 0;
-    }
-  }
-  return Sweeps;
-}
-
-} // namespace
-
-ArenaSpecResult gnt::runAnalysisArena(const CompiledAnalysis &C,
-                                      const IntervalFlowGraph &Ifg) {
-  const unsigned N = C.NumNodes, U = C.UniverseSize;
-  ArenaSpecResult R;
-  R.In = DataflowMatrix(N, U);
-  R.Out = DataflowMatrix(N, U);
-  DataflowMatrix GenM(N, U, DataflowMatrix::Uninit);
-  DataflowMatrix KillM(N, U, DataflowMatrix::Uninit);
-  for (NodeId Node = 0; Node != N; ++Node) {
-    GenM.assignRow(Node, C.Gen[Node]);
-    KillM.assignRow(Node, C.Kill[Node]);
-  }
-
-  std::vector<std::vector<NodeId>> Preds = flowPreds(C, Ifg);
-  std::vector<NodeId> Order = sweepOrder(C, Ifg);
-
-  // Interior nodes start at top for All confluence; boundary (no
-  // inflow) nodes are pinned, mirroring the engine's constructor.
-  if (C.Meet == Confluence::All)
-    for (NodeId Node = 0; Node != N; ++Node) {
-      R.In.setRow(Node);
-      R.Out.setRow(Node);
-    }
-  const unsigned WPR = R.In.wordsPerRow();
-  for (NodeId Node = 0; Node != N; ++Node) {
-    if (!Preds[Node].empty())
-      continue;
-    R.In.assignRow(Node, C.Boundary);
-    (void)fuseTransfer(WPR, R.Out.row(Node), R.In.row(Node), GenM.row(Node),
-                       KillM.row(Node));
-  }
-
-  R.Sweeps = sweepToFixedPoint(C, Preds, Order, GenM, KillM, R.In, R.Out);
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
-// Differential run
-//===----------------------------------------------------------------------===//
-
-AnalysisRun gnt::runAnalysis(const CompiledAnalysis &C,
-                             const IntervalFlowGraph &Ifg) {
-  AnalysisRun R;
-  R.Name = C.Name;
-  R.Universe = C.Universe;
-  R.UniverseSize = C.UniverseSize;
-  R.ItemNames = C.ItemNames;
-
-  DataflowResult Oracle = runAnalysisIterative(C, Ifg);
-  ArenaSpecResult Arena = runAnalysisArena(C, Ifg);
-  R.Stats.Iterative = Oracle.Stats;
-  R.Stats.ArenaSweeps = Arena.Sweeps;
-
-  // Mandatory per-node byte-identity differential: the arena values
-  // ship, but only after the independent oracle agrees bit for bit.
+  DiagnosticSet Diags;
   constexpr unsigned MaxReports = 10;
-  unsigned Mismatches = 0;
+  unsigned Violations = 0;
   auto CheckSide = [&](NodeId Node, const BitVector &Want,
-                       const BitVector &Got, const char *Side) {
+                       const BitVector &Got, const char *What) {
     if (Want == Got)
       return;
-    ++Mismatches;
-    if (Mismatches > MaxReports)
+    if (++Violations > MaxReports)
       return;
+    BitVector Delta = Want; // Symmetric difference: the wrong bits.
+    Delta |= Got;
+    BitVector Both = Want;
+    Both &= Got;
+    Delta.reset(Both);
     Diagnostic D;
     D.Severity = DiagSeverity::Error;
     D.Check = CheckId::Diff;
     D.Node = Node;
-    const Word *A = Want.words();
-    const Word *B = Got.words();
-    for (unsigned W = 0; W != Want.wordCount(); ++W)
-      if (A[W] != B[W]) {
-        unsigned Item = W * BitVector::WordBits +
-                        static_cast<unsigned>(__builtin_ctzll(A[W] ^ B[W]));
-        D.Item = static_cast<int>(Item);
-        if (Item < R.ItemNames.size())
-          D.ItemName = R.ItemNames[Item];
-        break;
-      }
-    D.Message = "analysis '" + C.Name +
-                "': iterative and arena fixed points disagree (" + Side +
-                " side)";
-    D.FixHint = "the two backends must agree byte for byte; this is a "
-                "solver bug, not a spec bug";
-    R.Diags.add(D);
+    D.Item = Delta.findFirst();
+    if (static_cast<size_t>(D.Item) < C.Data.Names.size())
+      D.ItemName = C.Data.Names[static_cast<size_t>(D.Item)];
+    D.Message = "analysis '" + S.Name + "': the solution " + What;
+    D.FixHint = "the solved values must satisfy the spec's own equations; "
+                "this is a solver or normalization bug, not a spec bug";
+    Diags.add(std::move(D));
   };
 
-  R.In.reserve(C.NumNodes);
-  R.Out.reserve(C.NumNodes);
+  const BitVector Empty(U);
   for (NodeId Node = 0; Node != C.NumNodes; ++Node) {
-    BitVector AIn = Arena.In.extractRow(Node);
-    BitVector AOut = Arena.Out.extractRow(Node);
-    CheckSide(Node, Oracle.In[Node], AIn, "in");
-    CheckSide(Node, Oracle.Out[Node], AOut, "out");
-    R.In.push_back(std::move(AIn));
-    R.Out.push_back(std::move(AOut));
+    const std::vector<NodeId> &Preds = FlowPreds[Node];
+    BitVector Meet(U, S.BoundaryAll);
+    if (!Preds.empty())
+      Meet = Out[Preds[0]];
+    for (size_t K = 1; K < Preds.size(); ++K) {
+      if (S.Meet == Confluence::All)
+        Meet &= Out[Preds[K]];
+      else
+        Meet |= Out[Preds[K]];
+    }
+    CheckSide(Node, Meet, In[Node],
+              "is not the meet over the incoming edges (in side)");
+
+    const BitVector &Take = initRow(C.Data.Take, Node, Empty);
+    const BitVector &Give = initRow(C.Data.Give, Node, Empty);
+    const BitVector &Steal = initRow(C.Data.Steal, Node, Empty);
+    BitVector Want;
+    if (S.Transfer) {
+      Want = evalSetExpr(*S.Transfer, U, In[Node], Take, Give, Steal);
+    } else {
+      Want = In[Node];
+      if (S.KillExpr)
+        Want.reset(evalSetExpr(*S.KillExpr, U, Empty, Take, Give, Steal));
+      if (S.GenExpr)
+        Want |= evalSetExpr(*S.GenExpr, U, Empty, Take, Give, Steal);
+    }
+    CheckSide(Node, Want, Out[Node],
+              "violates the transfer template (out side)");
   }
-  if (Mismatches > MaxReports) {
+  if (Violations > MaxReports) {
     Diagnostic D;
     D.Severity = DiagSeverity::Note;
     D.Check = CheckId::Diff;
-    D.Message = "analysis '" + C.Name + "': " +
-                itostr(static_cast<long long>(Mismatches)) +
-                " node sides disagree in total (first " +
+    D.Message = "analysis '" + S.Name + "': " +
+                itostr(static_cast<long long>(Violations)) +
+                " node sides violate the fixed point in total (first " +
                 itostr(static_cast<long long>(MaxReports)) + " reported)";
-    R.Diags.add(D);
+    Diags.add(std::move(D));
   }
+  return Diags;
+}
+
+AnalysisRun gnt::runAnalysis(const CompiledAnalysis &C,
+                             const IntervalFlowGraph &Ifg) {
+  const AnalysisSpec &S = C.Spec;
+  DataflowSpec Spec;
+  Spec.Direction = S.Direction;
+  Spec.Meet = S.Meet;
+  Spec.UniverseSize = C.Data.Size;
+  Spec.Gen = C.Gen;
+  Spec.Kill = C.Kill;
+  Spec.Boundary = BitVector(C.Data.Size, S.BoundaryAll);
+  if (S.IncludeSyntheticEdges)
+    Spec.EdgeFilter = [](const IfgEdge &) { return true; };
+  DataflowResult D = solveDataflow(Ifg, Spec);
+
+  AnalysisRun R;
+  R.Name = S.Name;
+  R.Universe = S.Universe;
+  R.UniverseSize = C.Data.Size;
+  R.ItemNames = C.Data.Names;
+  R.In = std::move(D.In);
+  R.Out = std::move(D.Out);
+  R.Stats = D.Stats;
+  R.Diags = checkAnalysisFixedPoint(C, Ifg, R.In, R.Out);
   return R;
 }
 
@@ -461,11 +353,10 @@ std::string AnalysisRun::renderJson(bool IncludeStats) const {
   EmitSide("out", Out);
   if (IncludeStats) {
     W.key("stats").beginObject();
-    W.key("iterations").value(Stats.Iterative.Iterations);
-    W.key("node_visits").value(Stats.Iterative.NodeVisits);
-    W.key("edge_evaluations").value(Stats.Iterative.EdgeEvaluations);
-    W.key("worklist_peak").value(Stats.Iterative.WorklistPeak);
-    W.key("arena_sweeps").value(Stats.ArenaSweeps);
+    W.key("iterations").value(Stats.Iterations);
+    W.key("node_visits").value(Stats.NodeVisits);
+    W.key("edge_evaluations").value(Stats.EdgeEvaluations);
+    W.key("worklist_peak").value(Stats.WorklistPeak);
     W.endObject();
   }
   W.beginArray("diagnostics");
@@ -519,7 +410,8 @@ AnalysisRun gnt::runAnalysisSpec(const std::string &NameOrText,
   }
 
   SpecUniverseData Data = buildSpecUniverse(PR.Spec->Universe, P, G, Ifg);
-  CompiledAnalysis C = compileAnalysisSpec(*PR.Spec, Data, Ifg.size());
+  CompiledAnalysis C =
+      compileAnalysisSpec(std::move(*PR.Spec), std::move(Data), Ifg.size());
   AnalysisRun R = runAnalysis(C, Ifg);
   R.Diags.append(PR.Diags); // Carry parser/linter warnings through.
   return R;

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compiles a linted AnalysisSpec (analysis/SpecLang.h) onto the two
-/// production solvers and runs them against each other.
+/// Compiles a linted AnalysisSpec (analysis/SpecLang.h) onto the
+/// iterative engine (analysis/DataflowEngine.h) and checks what it
+/// returns.
 ///
 /// Compilation first materializes the spec's universe: per-node TAKE /
 /// GIVE / STEAL init sets plus display names, built from the same
@@ -23,15 +24,17 @@
 /// the linter guarantees — f_n(in) = (in - Kill[n]) | Gen[n] holds
 /// exactly: per lane, a monotone boolean function of one variable is one
 /// of {0, 1, in}, and the two extreme evaluations distinguish the three.
-/// Normalization is what lets one compiled form drive both backends and
-/// keeps every user analysis word-parallel.
+/// Normalization keeps every user analysis word-parallel.
 ///
-/// Every run is differential by construction: the iterative worklist
-/// engine (analysis/DataflowEngine.h) solves the problem as the oracle,
-/// the flat DataflowMatrix arena sweeps solve it again, and
-/// runAnalysis() demands per-node byte identity of both fixed points,
-/// reporting any divergence as CheckId::Diff diagnostics. The arena
-/// values are the ones shipped.
+/// Every run is checked: the engine solves the normalized problem once,
+/// and one pass over the nodes then checks that the result is a fixed
+/// point of the spec itself. At every node In must be the meet over the
+/// spec's edges (the boundary at no-inflow nodes), and Out must be the
+/// spec's own transfer template evaluated on In with evalSetExpr — not
+/// through the Gen/Kill rows the engine read. A wrong row or a solver
+/// bug is reported as CheckId::Diff errors. (The check does not show the
+/// fixed point is the extremal one; the engine's start values, bottom
+/// for Any and top for All confluence, are what make it so.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +45,6 @@
 #include "analysis/Diagnostics.h"
 #include "analysis/SpecLang.h"
 #include "ir/Ast.h"
-#include "support/DataflowMatrix.h"
 
 #include <cstdint>
 #include <string>
@@ -67,73 +69,50 @@ SpecUniverseData buildSpecUniverse(SpecUniverse U, const Program &P,
                                    const Cfg &G,
                                    const IntervalFlowGraph &Ifg);
 
-/// One spec compiled to normalized gen/kill form. Plain data — copyable,
-/// serializable-by-hand — so backends and tests can share instances.
+/// One spec compiled against its universe. The engine solves the
+/// normalized Gen/Kill rows; the spec and the universe they came from are
+/// kept so checkAnalysisFixedPoint can evaluate the spec's own template.
 struct CompiledAnalysis {
-  std::string Name;
-  SpecUniverse Universe = SpecUniverse::Items;
-  FlowDirection Direction = FlowDirection::Forward;
-  Confluence Meet = Confluence::Any;
-  bool IncludeSyntheticEdges = false;
-
+  AnalysisSpec Spec;
+  SpecUniverseData Data;
   unsigned NumNodes = 0;
-  unsigned UniverseSize = 0;
-  std::vector<std::string> ItemNames;
 
   /// Normalized transfer: Out = (In - Kill[n]) | Gen[n]. Always sized
-  /// NumNodes x UniverseSize.
+  /// NumNodes x Data.Size.
   std::vector<BitVector> Gen;
   std::vector<BitVector> Kill;
-
-  /// Value at no-inflow nodes.
-  BitVector Boundary;
 };
 
 /// Compiles \p Spec (which must have linted clean) against \p Data.
 /// \p NumNodes is the node count of the graph the analysis will run on.
-CompiledAnalysis compileAnalysisSpec(const AnalysisSpec &Spec,
-                                     const SpecUniverseData &Data,
+CompiledAnalysis compileAnalysisSpec(AnalysisSpec Spec, SpecUniverseData Data,
                                      unsigned NumNodes);
 
-/// Solves \p C on the iterative worklist engine — the differential
-/// oracle.
-DataflowResult runAnalysisIterative(const CompiledAnalysis &C,
-                                    const IntervalFlowGraph &Ifg);
+/// Checks that \p In / \p Out (flow orientation) is a fixed point of
+/// \p C's spec over \p Ifg, as described in the file comment. Each
+/// violating node side is a CheckId::Diff error (the first ten, then one
+/// summary note); empty when the solution holds.
+DiagnosticSet checkAnalysisFixedPoint(const CompiledAnalysis &C,
+                                      const IntervalFlowGraph &Ifg,
+                                      const std::vector<BitVector> &In,
+                                      const std::vector<BitVector> &Out);
 
-/// Outcome of one arena solve.
-struct ArenaSpecResult {
-  DataflowMatrix In;  ///< Per-node meet input (flow orientation).
-  DataflowMatrix Out; ///< Per-node transfer output.
-  unsigned Sweeps = 0; ///< Round-robin sweeps until the fixed point.
-};
-
-/// Solves \p C with flat round-robin word sweeps over a DataflowMatrix
-/// arena.
-ArenaSpecResult runAnalysisArena(const CompiledAnalysis &C,
-                                 const IntervalFlowGraph &Ifg);
-
-/// Statistics of one differential run.
-struct AnalysisRunStats {
-  DataflowStats Iterative; ///< Oracle convergence statistics.
-  unsigned ArenaSweeps = 0;
-};
-
-/// A completed (or failed) user analysis: the arena solution, the
-/// differential verdict, and enough metadata to render it.
+/// A completed (or failed) user analysis: the solution, the fixed-point
+/// check's verdict, and enough metadata to render it.
 struct AnalysisRun {
   std::string Name = "user";
   SpecUniverse Universe = SpecUniverse::Items;
   unsigned UniverseSize = 0;
   std::vector<std::string> ItemNames;
 
-  /// Per-node fixed point (the arena backend's values; byte-identical
-  /// to the oracle's whenever ok()). Empty when the spec never ran.
+  /// Per-node fixed point, in flow orientation. Empty when the spec
+  /// never ran.
   std::vector<BitVector> In;
   std::vector<BitVector> Out;
 
-  AnalysisRunStats Stats;
+  DataflowStats Stats; ///< Engine convergence statistics.
 
-  /// Spec/lint failures, or Diff errors from the backend differential.
+  /// Spec/lint failures, or Diff errors from the fixed-point check.
   DiagnosticSet Diags;
 
   bool ok() const { return !Diags.hasErrors(); }
@@ -150,15 +129,15 @@ struct AnalysisRun {
   std::string renderJson(bool IncludeStats) const;
 };
 
-/// Runs \p C on both backends, checks per-node byte identity, and
-/// returns the arena solution with the differential verdict.
+/// Solves \p C on the engine and checks the result with
+/// checkAnalysisFixedPoint.
 AnalysisRun runAnalysis(const CompiledAnalysis &C,
                         const IntervalFlowGraph &Ifg);
 
 /// End-to-end convenience: \p NameOrText is a builtin name (single
 /// token: no newline, no space) or a full spec text. Parses, lints,
-/// builds the universe, compiles, and runs differentially; failures of
-/// any stage come back as an AnalysisRun holding only diagnostics.
+/// builds the universe, compiles, solves and checks; failures of any
+/// stage come back as an AnalysisRun holding only diagnostics.
 AnalysisRun runAnalysisSpec(const std::string &NameOrText, const Program &P,
                             const Cfg &G, const IntervalFlowGraph &Ifg);
 

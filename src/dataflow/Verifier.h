@@ -20,10 +20,10 @@
 /// because deliberate hoisting out of zero-trip loops makes the static
 /// criterion configuration-dependent (Section 3.2).
 ///
-/// Findings are reported as structured diagnostics (analysis/Diagnostics);
-/// the deeper audit passes (O2/O3/O3', structural lint, differential
-/// re-derivation) live in analysis/Auditor and share the same diagnostics
-/// vocabulary.
+/// Findings are reported as structured diagnostics (analysis/Diagnostics).
+/// This is the only implementation of C1/C3/O1: analysis/Auditor calls
+/// verifyGntRun for them and adds the deeper passes (O2/O3/O3',
+/// structural lint, differential re-derivation) in the same vocabulary.
 ///
 //===----------------------------------------------------------------------===//
 

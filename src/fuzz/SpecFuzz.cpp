@@ -179,14 +179,14 @@ SpecFuzzReport gnt::fuzz::runSpecFuzzer(const SpecFuzzOptions &Opts) {
     }
     ++Report.Accepted;
 
-    // Oracle 2: solve on every test program; the differential inside
-    // runAnalysisSpec checks iterative-vs-arena.
+    // Oracle 2: solve on every test program; runAnalysisSpec checks
+    // the solution against the spec's own equations.
     for (const TestProgram &T : Programs) {
       AnalysisRun Run = runAnalysisSpec(Text, T.Prog, T.G, T.Ifg);
       if (!Run.ok()) {
         Report.Findings.push_back(
             {"spec.differential",
-             "accepted spec failed its backend differential", Text});
+             "accepted spec failed its fixed-point check", Text});
         return;
       }
     }

@@ -15,10 +15,10 @@
 ///     structured CheckId::Spec error; silent rejection or an
 ///     unexplained crash is a finding.
 ///  2. Solver soundness: an accepted spec is compiled and solved on a
-///     battery of generated programs. Any differential failure between
-///     the iterative and arena backends is a finding — the
-///     byte-identity contract holds for *arbitrary* monotone specs, not
-///     just the built-ins.
+///     battery of generated programs. A solution that fails the
+///     fixed-point check (analysis/SpecCompile.h) is a finding — the
+///     normalized gen/kill form must solve *arbitrary* monotone specs,
+///     not just the built-ins.
 ///
 /// Deterministic in Seed, like the program fuzzer.
 ///

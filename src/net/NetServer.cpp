@@ -441,6 +441,23 @@ void NetServer::processBuffered(Conn &C) {
   }
 }
 
+TokenBucket &NetServer::quotaBucket(const std::string &Tenant,
+                                    TokenBucket::Clock::time_point Now) {
+  auto It = Buckets.find(Tenant);
+  if (It != Buckets.end())
+    return It->second;
+  if (Buckets.size() >= MaxTenantBuckets)
+    for (auto I = Buckets.begin(); I != Buckets.end();)
+      I = I->second.isFull(Now) ? Buckets.erase(I) : std::next(I);
+  if (Buckets.size() < MaxTenantBuckets)
+    return Buckets
+        .try_emplace(Tenant, Config.QuotaRps, Config.QuotaBurst, Now)
+        .first->second;
+  if (!OverflowBucket)
+    OverflowBucket.emplace(Config.QuotaRps, Config.QuotaBurst, Now);
+  return *OverflowBucket;
+}
+
 void NetServer::handleFrame(Conn &C, std::string Line) {
   // Blank lines are skipped exactly like the stdio batch reader.
   if (Line.find_first_not_of(" \t\r\n") == std::string::npos)
@@ -486,10 +503,7 @@ void NetServer::handleFrame(Conn &C, std::string Line) {
 
   if (Config.QuotaRps > 0) {
     auto Now = TokenBucket::Clock::now();
-    auto [It, Inserted] = Buckets.try_emplace(
-        Req.Tenant, Config.QuotaRps, Config.QuotaBurst, Now);
-    (void)Inserted;
-    if (!It->second.tryTake(Now)) {
+    if (!quotaBucket(Req.Tenant, Now).tryTake(Now)) {
       Net.ShedQuota.fetch_add(1, std::memory_order_relaxed);
       routeResponse(
           C, Seq,

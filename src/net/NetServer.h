@@ -50,11 +50,17 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace gnt::net {
+
+/// Most per-tenant quota buckets a server keeps. Tenant names are chosen
+/// by clients, so the table must not grow with them; see
+/// NetServer::quotaBucket().
+inline constexpr std::size_t MaxTenantBuckets = 1024;
 
 /// Socket-layer configuration; service execution (workers, caches) is
 /// configured through the embedded ServiceConfig.
@@ -136,6 +142,13 @@ private:
   bool drainComplete();
   void workerRun();
   void wakeLoop();
+  /// The quota bucket charged for \p Tenant. A new name gets its own
+  /// bucket while the table holds fewer than MaxTenantBuckets; when it
+  /// is full, buckets that have refilled to their burst are dropped
+  /// first, and if none can be, the name is charged to the shared
+  /// overflow bucket.
+  TokenBucket &quotaBucket(const std::string &Tenant,
+                           TokenBucket::Clock::time_point Now);
 
   NetConfig Config;
   BatchServer Service;
@@ -164,6 +177,7 @@ private:
   std::uint64_t NextConnId = 2; ///< 0 = listener tag, 1 = wake tag.
   std::vector<std::uint64_t> DeadConns;
   std::map<std::string, TokenBucket> Buckets;
+  std::optional<TokenBucket> OverflowBucket;
 };
 
 /// Structured shed payload: {"ok":false,"error":"overloaded",

@@ -40,6 +40,13 @@ public:
 
   double tokens() const { return Tokens; }
 
+  /// True once the bucket has refilled to its burst by \p Now: it then
+  /// behaves exactly like a freshly created one.
+  bool isFull(Clock::time_point Now) {
+    refill(Now);
+    return Tokens >= Burst;
+  }
+
 private:
   void refill(Clock::time_point Now) {
     if (Now <= Last)

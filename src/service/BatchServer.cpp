@@ -103,7 +103,7 @@ bool decodeOptions(const JsonValue &Obj, PipelineOptions &Opts,
         return false;
     } else if (Key == "analyses") {
       // User-specified analyses: built-in names or full spec texts,
-      // run differentially after the solve. Semantic (cached).
+      // solved and checked after the solve. Semantic (cached).
       if (!V.isArray()) {
         Error = "option `analyses` must be an array of strings";
         return false;

@@ -26,7 +26,7 @@
 /// for the speculative strategy), "atomic", "owner_computes",
 /// "hoist_zero_trip", "reads", "writes", "annotate", "audit", "verify",
 /// "werror", "incremental" (bool) and "analyses" (array of strings:
-/// built-in analysis names or full spec texts, run differentially after
+/// built-in analysis names or full spec texts, solved and checked after
 /// the solve) — incremental is a solver execution strategy with
 /// byte-identical results for either value, so it does not participate
 /// in the result cache key; "strategy", "profile" and "analyses" change

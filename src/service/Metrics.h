@@ -8,8 +8,8 @@
 /// Shutdown-time metrics for the batch compilation service: job and
 /// cache counters, wall-clock throughput, and latency distributions
 /// (min/mean/p50/p99) per pipeline stage and per whole job. Samples are
-/// recorded under the server's lock and reduced only when rendered, so
-/// the hot path stays a push_back.
+/// recorded under the server's lock into fixed-size rings and reduced
+/// only when rendered, so the hot path stays a store.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,42 +27,53 @@
 
 namespace gnt {
 
-/// A latency sample set with order-statistic reductions.
+/// A latency sample set: exact count, mean and min from running totals,
+/// and order statistics over a ring of the most recent samples, so
+/// memory and snapshot cost stay constant for a server's lifetime.
 class LatencyStats {
 public:
-  void record(double Micros) { Samples.push_back(Micros); }
+  /// Samples the quantiles are computed over. 16,384 leaves more than
+  /// ten samples beyond the highest exported quantile (0.999).
+  static constexpr size_t Window = 16384;
 
-  bool empty() const { return Samples.empty(); }
-  size_t count() const { return Samples.size(); }
-
-  double min() const {
-    return Samples.empty()
-               ? 0
-               : *std::min_element(Samples.begin(), Samples.end());
+  void record(double Micros) {
+    if (Recent.size() < Window)
+      Recent.push_back(Micros);
+    else
+      Recent[Count % Window] = Micros;
+    Min = Count == 0 ? Micros : std::min(Min, Micros);
+    Sum += Micros;
+    ++Count;
   }
+
+  bool empty() const { return Count == 0; }
+  size_t count() const { return Count; }
+  /// Samples currently held for the quantiles (at most Window).
+  size_t retained() const { return Recent.size(); }
+
+  double min() const { return Min; }
 
   double mean() const {
-    if (Samples.empty())
-      return 0;
-    double Sum = 0;
-    for (double S : Samples)
-      Sum += S;
-    return Sum / static_cast<double>(Samples.size());
+    return Count ? Sum / static_cast<double>(Count) : 0;
   }
 
-  /// Nearest-rank percentile; \p P in [0, 100].
+  /// Nearest-rank percentile over the retained samples; \p P in
+  /// [0, 100].
   double percentile(double P) const {
-    if (Samples.empty())
+    if (Recent.empty())
       return 0;
-    std::vector<double> Sorted = Samples;
-    std::sort(Sorted.begin(), Sorted.end());
-    double Rank = P / 100.0 * static_cast<double>(Sorted.size() - 1);
-    size_t Idx = static_cast<size_t>(Rank + 0.5);
-    return Sorted[std::min(Idx, Sorted.size() - 1)];
+    std::vector<double> Copy = Recent;
+    double Rank = P / 100.0 * static_cast<double>(Copy.size() - 1);
+    size_t Idx = std::min(static_cast<size_t>(Rank + 0.5), Copy.size() - 1);
+    std::nth_element(Copy.begin(), Copy.begin() + Idx, Copy.end());
+    return Copy[Idx];
   }
 
 private:
-  std::vector<double> Samples;
+  std::vector<double> Recent;
+  size_t Count = 0;
+  double Sum = 0;
+  double Min = 0;
 };
 
 /// Everything the service measured over one run.

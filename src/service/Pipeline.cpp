@@ -409,8 +409,7 @@ PipelineResult Pipeline::compile(const std::string &Source,
     }
   }
 
-  // User-specified analyses, each solved differentially on both
-  // backends.
+  // User-specified analyses, each solved once and checked.
   if (!Opts.ExtraAnalyses.empty()) {
     StageTimer T(R, PipelineStage::Analyze);
     for (const std::string &Entry : Opts.ExtraAnalyses) {

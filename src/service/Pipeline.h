@@ -132,8 +132,8 @@ struct PipelineOptions {
   /// User-specified dataflow analyses to run after the solve: each
   /// entry is a built-in name ("liveness", "availability", "very-busy",
   /// "reaching") or a full spec text (analysis/SpecLang.h). Every run
-  /// is differential (iterative engine vs arena sweeps) and lands in
-  /// PipelineResult::Analyses; failures merge into Diags. Unlike
+  /// is solved once and checked against the spec's own equations, and
+  /// lands in PipelineResult::Analyses; failures merge into Diags. Unlike
   /// Incremental this changes output, so it IS part of canonical().
   std::vector<std::string> ExtraAnalyses;
 

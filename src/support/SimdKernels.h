@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The word loops shared by the GIVE-N-TAKE arena solver
-/// (dataflow/GiveNTake.cpp) and the spec-compiled arena engine
-/// (analysis/SpecCompile.cpp): copy, OR, AND and OR-ANDNOT over one row
+/// The word loops of the GIVE-N-TAKE arena solver
+/// (dataflow/GiveNTake.cpp): copy, OR, AND and OR-ANDNOT over one row
 /// of W words. They are plain scalar loops the compiler inlines and
 /// auto-vectorizes; the fused per-equation sweeps live next to their
-/// only callers.
+/// only caller.
 ///
 /// Aliasing contract: the destination never overlaps a source (rows of
 /// different arena fields or nodes, or a scratch row); sources may

@@ -5,20 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Unit tests for the generic monotone-framework engine (directions,
-/// confluences, solve modes, statistics), the declarative GIVE-N-TAKE
-/// problem specs built on top of it, and the iterative reference solver
-/// that re-derives Equations 1-15 independently of the elimination
-/// schedule.
+/// confluences, boundaries, statistics) and the iterative reference
+/// solver that re-derives Equations 1-15 independently of the
+/// elimination schedule.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "analysis/DataflowEngine.h"
-#include "analysis/GntProblems.h"
 #include "analysis/ReferenceSolver.h"
 #include "dataflow/GiveNTake.h"
-#include "gen/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -150,60 +147,15 @@ TEST(DataflowEngine, WorklistPeakTracksPendingNodes) {
   Spec.UniverseSize = 1;
   Spec.Gen.assign(P.G.size(), BitVector(1));
   Spec.Gen[P.Ifg->root()].set(0u);
-  DataflowResult W = solveDataflow(*P.Ifg, Spec, SolveMode::Worklist);
+  DataflowResult W = solveDataflow(*P.Ifg, Spec);
   // The worklist is seeded with every node, so the peak is at least the
-  // graph size; round-robin sweeps keep no worklist at all.
+  // graph size.
   EXPECT_GE(W.Stats.WorklistPeak, P.Ifg->size());
-  DataflowResult R = solveDataflow(*P.Ifg, Spec, SolveMode::RoundRobin);
-  EXPECT_EQ(R.Stats.WorklistPeak, 0u);
-  EXPECT_EQ(W.In, R.In);
-  EXPECT_EQ(W.Out, R.Out);
-}
-
-TEST(DataflowEngine, RoundRobinSupportsCrossNodeEdgeTransfers) {
-  // An edge transfer that reads a node other than the edge source:
-  // every edge value additionally carries U's out-value. Only
-  // RoundRobin is documented to converge correctly for these.
-  Pipeline P = Pipeline::fromSource("v = 1\nu = 3\nw = 2\n");
-  NodeId V = findAssign(P.G, "v"), U = findAssign(P.G, "u"),
-         W = findAssign(P.G, "w");
-  DataflowSpec Spec;
-  Spec.UniverseSize = 2;
-  Spec.Gen.assign(P.G.size(), BitVector(2));
-  Spec.Gen[V].set(0u);
-  Spec.Gen[U].set(1u);
-  Spec.EdgeTransfer = [U](const IfgEdge &E,
-                          const std::vector<BitVector> &NodeOut) {
-    BitVector Val = NodeOut[E.Src];
-    Val |= NodeOut[U];
-    return Val;
-  };
-  DataflowResult R = solveDataflow(*P.Ifg, Spec, SolveMode::RoundRobin);
-  // U's fact rides every edge, including the ones upstream of U itself:
-  // the edge into V already carries bit 1 even though U is not V's
-  // predecessor.
-  EXPECT_TRUE(R.In[V].test(1)) << "cross-node edge transfer not applied";
-  EXPECT_TRUE(R.In[W].test(0));
-  EXPECT_TRUE(R.In[W].test(1));
-  // The fixed point satisfies the edge equation at every flow edge.
-  for (NodeId N = 0; N != P.Ifg->size(); ++N) {
-    for (const IfgEdge &E : P.Ifg->succs(N)) {
-      if (E.Type == EdgeType::Synthetic)
-        continue;
-      BitVector Val = R.Out[E.Src];
-      Val |= R.Out[U];
-      BitVector Missing = Val;
-      Missing.reset(R.In[E.Dst]);
-      EXPECT_FALSE(Missing.any())
-          << "edge " << E.Src << "->" << E.Dst << " value not merged";
-    }
-  }
 }
 
 TEST(DataflowEngine, AllConfluenceBoundaryDecidesMergePoints) {
   // All-paths confluence with a pinned boundary: the boundary fact
-  // survives a branch merge only while no arm kills it, in both solve
-  // modes identically.
+  // survives a branch merge only while no arm kills it.
   Pipeline P = Pipeline::fromSource(R"(
 if (c > 0) then
   v = 1
@@ -217,63 +169,15 @@ w = 2
   Spec.Meet = Confluence::All;
   Spec.UniverseSize = 1;
   Spec.Boundary = BitVector(1, true);
-  for (SolveMode Mode : {SolveMode::Worklist, SolveMode::RoundRobin}) {
-    DataflowResult R = solveDataflow(*P.Ifg, Spec, Mode);
-    EXPECT_TRUE(R.In[W].test(0))
-        << "boundary fact lost on a kill-free all-paths merge";
-  }
+  DataflowResult R = solveDataflow(*P.Ifg, Spec);
+  EXPECT_TRUE(R.In[W].test(0))
+      << "boundary fact lost on a kill-free all-paths merge";
   Spec.Kill.assign(P.G.size(), BitVector(1));
   Spec.Kill[V].set(0u);
-  for (SolveMode Mode : {SolveMode::Worklist, SolveMode::RoundRobin}) {
-    DataflowResult R = solveDataflow(*P.Ifg, Spec, Mode);
-    EXPECT_FALSE(R.In[W].test(0))
-        << "fact killed on one arm survived an all-paths merge";
-    EXPECT_TRUE(R.In[V].test(0)) << "boundary did not reach the arm";
-  }
-}
-
-TEST(DataflowEngine, WorklistMatchesRoundRobinOnGntSpecs) {
-  for (unsigned Seed = 1; Seed != 11; ++Seed) {
-    GenConfig C;
-    C.Seed = Seed;
-    C.TargetStmts = 30;
-    C.GotoProb = 0.1;
-    Program Prog = generateRandomProgram(C);
-    CfgBuildResult CR = buildCfg(Prog);
-    ASSERT_TRUE(CR.success());
-    auto IR = IntervalFlowGraph::build(CR.G);
-    ASSERT_TRUE(IR.success());
-    GntRun Run = runGiveNTake(*IR.Ifg, checkerProblem(CR.G, Direction::Before));
-    for (Urgency U : {Urgency::Eager, Urgency::Lazy}) {
-      for (DataflowSpec Spec :
-           {makeAnticipabilitySpec(Run), makeProductionLivenessSpec(Run, U),
-            makeStealReachabilitySpec(Run, U)}) {
-        DataflowResult A = solveDataflow(Run.OrientedIfg, Spec,
-                                         SolveMode::Worklist);
-        DataflowResult B = solveDataflow(Run.OrientedIfg, Spec,
-                                         SolveMode::RoundRobin);
-        EXPECT_EQ(A.In, B.In) << "seed " << Seed;
-        EXPECT_EQ(A.Out, B.Out) << "seed " << Seed;
-      }
-    }
-  }
-}
-
-TEST(DataflowEngine, AvailabilityCoversEveryConsumer) {
-  // C3 from the engine's side: with a valid placement, must-availability
-  // at each node covers everything consumed there.
-  Pipeline P = Pipeline::fromSource(fig11Source());
-  GntRun Run = runGiveNTake(*P.Ifg, checkerProblem(P.G, Direction::Before));
-  for (Urgency U : {Urgency::Eager, Urgency::Lazy}) {
-    DataflowResult R = solveDataflow(
-        Run.OrientedIfg, makeAvailabilitySpec(Run, U), SolveMode::RoundRobin);
-    for (NodeId Node = 0; Node != Run.OrientedIfg.size(); ++Node) {
-      BitVector Missing = Run.OrientedProblem.TakeInit[Node];
-      Missing.reset(R.Out[Node]);
-      EXPECT_FALSE(Missing.any())
-          << "node " << Node << " consumes an unavailable item";
-    }
-  }
+  R = solveDataflow(*P.Ifg, Spec);
+  EXPECT_FALSE(R.In[W].test(0))
+      << "fact killed on one arm survived an all-paths merge";
+  EXPECT_TRUE(R.In[V].test(0)) << "boundary did not reach the arm";
 }
 
 TEST(ReferenceSolver, ConvergesAndMatchesEliminationOnPaperFigures) {

@@ -67,7 +67,9 @@ TEST(Auditor, AcceptsSolverOutputOnPaperFigures) {
       GntRun Run = runGiveNTake(*P.Ifg, Prob);
       AuditResult A = auditGntRun(Run);
       EXPECT_TRUE(A.ok()) << Src << "\n" << errors(A);
-      EXPECT_GE(A.Stats.EngineSolves, 5u);
+      // Production liveness for EAGER and LAZY (plus anticipability on
+      // jump-free graphs); C1/C3/O1 come from the verifier.
+      EXPECT_GE(A.Stats.EngineSolves, 2u);
       EXPECT_GE(A.Stats.ReferenceSweeps, 2u);
     }
   }

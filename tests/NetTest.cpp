@@ -311,6 +311,47 @@ TEST(NetOverloadTest, QuotaShedsPerTenant) {
   Server->join();
 }
 
+TEST(NetOverloadTest, TenantTableIsBounded) {
+  // Every request invents a tenant name. Past MaxTenantBuckets live
+  // buckets, new names share one overflow bucket instead of each
+  // getting a fresh burst.
+  NetConfig NC;
+  NC.QuotaRps = 1e-6; // Effectively no refill within the test.
+  NC.QuotaBurst = 1;
+  NC.MaxPending = 8192; // Only the quota may shed.
+  auto Server = startServer(/*Workers=*/1, NC);
+
+  constexpr unsigned Requests = 5000;
+  std::string Source = seededSource(0, 3, 8);
+  std::string Payload;
+  for (unsigned I = 0; I < Requests; ++I)
+    Payload += requestLine("r" + std::to_string(I), Source,
+                           "tenant" + std::to_string(I)) +
+               "\n";
+  TestClient C;
+  ASSERT_TRUE(C.dial(Server->port()));
+  std::thread Sender([&] {
+    C.send(Payload);
+    C.finishSending();
+  });
+  std::vector<std::string> Lines = splitLines(C.recvAll());
+  Sender.join();
+
+  ASSERT_EQ(Lines.size(), Requests);
+  unsigned Admitted = 0;
+  for (const std::string &Line : Lines) {
+    if (Line.find("\"error\":\"overloaded\"") == std::string::npos)
+      ++Admitted;
+    else
+      EXPECT_NE(Line.find("\"reason\":\"quota\""), std::string::npos)
+          << Line;
+  }
+  EXPECT_LE(Admitted, MaxTenantBuckets + 1);
+  EXPECT_EQ(Server->metrics().ShedQuota.load(), Requests - Admitted);
+  Server->requestDrain();
+  Server->join();
+}
+
 TEST(NetDrainTest, DrainingShedsNewWorkAndFinishesInFlight) {
   auto Server = startServer(/*Workers=*/1);
   TestClient C;
@@ -400,9 +441,10 @@ TEST(NetFramingTest, MalformedFrameMatchesStdioErrorBytes) {
     std::string Want =
         Reference[I].substr(Reference[I].find(",\"result\""));
     EXPECT_EQ(Got, Want) << Frames[I].substr(0, 80);
-    if (I >= Garbage.size())
+    if (I >= Garbage.size()) {
       EXPECT_NE(Got.find("\"result\":{\"ok\":false"), std::string::npos)
           << Got;
+    }
   }
   EXPECT_EQ(Server->metrics().Malformed.load(), Garbage.size());
   Server->requestDrain();

@@ -331,4 +331,20 @@ TEST(LatencyStats, OrderStatistics) {
   EXPECT_EQ(Empty.percentile(99), 0.0);
 }
 
+TEST(LatencyStats, RetentionIsBounded) {
+  // The smallest sample comes first, so it leaves the ring long before
+  // the end; count, mean and min must still cover every sample.
+  constexpr size_t N = 1000000;
+  LatencyStats L;
+  for (size_t I = 1; I <= N; ++I)
+    L.record(static_cast<double>(I));
+  EXPECT_LE(L.retained(), size_t(16384));
+  EXPECT_EQ(L.count(), N);
+  EXPECT_EQ(L.min(), 1.0);
+  EXPECT_EQ(L.mean(), (static_cast<double>(N) + 1) / 2);
+  // The quantiles see exactly the most recent window.
+  EXPECT_EQ(L.percentile(0), static_cast<double>(N - L.retained() + 1));
+  EXPECT_EQ(L.percentile(100), static_cast<double>(N));
+}
+
 } // namespace

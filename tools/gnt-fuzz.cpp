@@ -43,8 +43,8 @@ void usage() {
       "usage: gnt-fuzz [options]\n"
       "  --smoke             CI preset: 500 inputs, fail on any finding\n"
       "  --specs             fuzz the analysis-spec language instead of\n"
-      "                      programs (linter totality + backend\n"
-      "                      differential on generated programs)\n"
+      "                      programs (linter totality + fixed-point\n"
+      "                      check on generated programs)\n"
       "  --net               replay corpus programs through a live\n"
       "                      socket server and diff every response\n"
       "                      byte-for-byte against the serial stdio\n"

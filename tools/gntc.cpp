@@ -92,9 +92,8 @@ void usage(std::FILE *To) {
       "                    its per-node solution; A is a built-in name\n"
       "                    (liveness | availability | very-busy | reaching),\n"
       "                    `all` for every built-in, or @FILE to read a\n"
-      "                    spec file; repeatable; solved on both the\n"
-      "                    iterative engine and the arena solver with a\n"
-      "                    mandatory byte-identity differential\n"
+      "                    spec file; repeatable; the solution is checked\n"
+      "                    against the spec's own equations\n"
       "  --analyze-json    print analysis results as JSON with statistics\n"
       "\n"
       "checking:\n"
