@@ -9,6 +9,9 @@
 #include "ir/AstPrinter.h"
 #include "support/Support.h"
 
+#include <string_view>
+#include <unordered_map>
+
 using namespace gnt;
 
 const char *gnt::commOpName(CommOpKind K) {
@@ -43,9 +46,35 @@ void gnt::buildCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
                             const IntervalFlowGraph &Ifg,
                             const CommOptions &Opts, GntProblem &Read,
                             GntProblem &Write) {
-  unsigned U = Refs.Items.size();
+  const ItemTable &Items = Refs.Items;
+  unsigned U = Items.size();
   Read = GntProblem(G.size(), U, Direction::Before);
   Write = GntProblem(G.size(), U, Direction::After);
+
+  // Item index. A reference or definition can only touch items of its
+  // own array, items subscripted through the array it writes, and items
+  // whose bounds depend on a scalar it reassigns; each one visits just
+  // those lists instead of the whole universe.
+  using ItemIndex = std::unordered_map<std::string_view, std::vector<unsigned>>;
+  ItemIndex ByArray, ByIndirect, ByScalar;
+  for (unsigned I = 0; I != U; ++I) {
+    const Item &It = Items.item(I);
+    ByArray[It.Array].push_back(I);
+    if (It.isIndirect())
+      ByIndirect[It.IndirectArray].push_back(I);
+    for (const std::string &Sym : It.DependsOn)
+      ByScalar[Sym].push_back(I);
+  }
+  auto itemsOf = [](const ItemIndex &Index,
+                    std::string_view Key) -> const std::vector<unsigned> & {
+    static const std::vector<unsigned> None;
+    auto It = Index.find(Key);
+    return It == Index.end() ? None : It->second;
+  };
+
+  // Overlap rows: the items that may overlap a used item, computed on
+  // the item's first use. An empty row has not been computed yet.
+  std::vector<BitVector> OverlapRow(U);
 
   for (NodeId N = 0; N != G.size(); ++N) {
     const NodeRefs &R = Refs.PerNode[N];
@@ -55,10 +84,17 @@ void gnt::buildCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
     // WRITE: references to overlapping data steal pending write-backs —
     // the written values must reach their owners before any processor
     // re-fetches them (Figure 3's placement).
-    for (unsigned Use : R.Uses)
-      for (unsigned I = 0; I != U; ++I)
-        if (Refs.Items.item(I).mayOverlap(Refs.Items.item(Use)))
-          Write.StealInit[N].set(I);
+    for (unsigned Use : R.Uses) {
+      BitVector &Row = OverlapRow[Use];
+      if (Row.size() == 0) {
+        const Item &Used = Items.item(Use);
+        Row.resize(U);
+        for (unsigned I : itemsOf(ByArray, Used.Array))
+          if (Items.item(I).mayOverlap(Used))
+            Row.set(I);
+      }
+      Write.StealInit[N] |= Row;
+    }
 
     for (unsigned DI = 0; DI != R.Defs.size(); ++DI) {
       unsigned Def = R.Defs[DI];
@@ -77,59 +113,36 @@ void gnt::buildCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
     // overlap the written section or are subscripted through the written
     // array.
     for (const RawDef &D : Refs.ArrayDefs[N]) {
-      for (unsigned I = 0; I != U; ++I) {
-        const Item &It = Refs.Items.item(I);
-        bool Steals = false;
-        if (It.Array == D.Array) {
-          // Same array: stolen unless it is exactly the defined (and
-          // hence freshly given) non-volatile direct section.
-          Item DefItem;
-          DefItem.Array = D.Array;
-          DefItem.Sec = D.Sec;
-          DefItem.Volatile = D.Opaque;
-          Steals = It.mayOverlap(DefItem);
-          // The definition itself is given, not stolen — except for
-          // reductions, which update the owner without making the global
-          // value locally available.
-          if (Steals && !D.Reduction && !D.Opaque && !It.Volatile &&
-              !It.isIndirect() && It.Sec == D.Sec)
-            Steals = false;
-        }
-        // Writing the indirection array invalidates items subscripted
-        // through it, e.g. a def of a(...) steals x(a(...)).
-        if (!Steals && It.isIndirect() && It.IndirectArray == D.Array)
-          Steals = D.Opaque || It.Sec.mayOverlap(D.Sec);
-        if (Steals)
+      // Same array: stolen when it may overlap the written section,
+      // unless it is exactly the defined (and hence freshly given)
+      // non-volatile direct section — except for reductions, which
+      // update the owner without making the global value locally
+      // available. Volatile, opaque and indirect sections overlap
+      // everything of their array.
+      for (unsigned I : itemsOf(ByArray, D.Array)) {
+        const Item &It = Items.item(I);
+        if (It.Volatile || D.Opaque || It.isIndirect() ||
+            (It.Sec.mayOverlap(D.Sec) && (D.Reduction || !(It.Sec == D.Sec))))
           Read.StealInit[N].set(I);
       }
-    }
-
-    // Indirection-array and scalar invalidation applies to pending
-    // write-backs as well: the item's identity changes.
-    for (const RawDef &D : Refs.ArrayDefs[N])
-      for (unsigned I = 0; I != U; ++I) {
-        const Item &It = Refs.Items.item(I);
-        if (It.isIndirect() && It.IndirectArray == D.Array &&
-            (D.Opaque || It.Sec.mayOverlap(D.Sec)))
+      // Writing the indirection array invalidates items subscripted
+      // through it, e.g. a def of a(...) steals x(a(...)). This applies
+      // to pending write-backs as well: the item's identity changes.
+      for (unsigned I : itemsOf(ByIndirect, D.Array))
+        if (D.Opaque || Items.item(I).Sec.mayOverlap(D.Sec)) {
+          Read.StealInit[N].set(I);
           Write.StealInit[N].set(I);
-      }
+        }
+    }
   }
 
   // Reassigning a scalar a section depends on breaks the value number.
-  for (const auto &[Scalar, Nodes] : Refs.ScalarAssigns) {
-    for (unsigned I = 0; I != U; ++I) {
-      const Item &It = Refs.Items.item(I);
-      bool Depends = false;
-      for (const std::string &Sym : It.DependsOn)
-        Depends |= Sym == Scalar;
-      if (!Depends)
-        continue;
+  for (const auto &[Scalar, Nodes] : Refs.ScalarAssigns)
+    for (unsigned I : itemsOf(ByScalar, Scalar))
       for (NodeId N : Nodes) {
         Read.StealInit[N].set(I);
         Write.StealInit[N].set(I);
       }
-    }
-  }
 
   // Zero-trip hoisting opt-out (Section 4.1): every loop is treated
   // pessimistically — no consumption hoisted above it, no in-body

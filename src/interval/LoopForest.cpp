@@ -9,6 +9,7 @@
 #include "support/Support.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace gnt;
 
@@ -27,10 +28,12 @@ std::optional<LoopForest> LoopForest::compute(const Cfg &G,
   // m is visited. In a reducible graph every retreating edge is a back
   // edge, i.e. h dominates m.
   std::vector<char> State(N, 0); // 0 = unvisited, 1 = on stack, 2 = done.
+  std::vector<NodeId> Preorder;  // The nodes the DFS reaches, in order.
   {
     std::vector<std::pair<NodeId, unsigned>> Stack;
     Stack.push_back({F.Root, 0});
     State[F.Root] = 1;
+    Preorder.push_back(F.Root);
     while (!Stack.empty()) {
       auto &[Node, NextSucc] = Stack.back();
       const auto &Succs = G.node(Node).Succs;
@@ -38,6 +41,7 @@ std::optional<LoopForest> LoopForest::compute(const Cfg &G,
         NodeId S = Succs[NextSucc++];
         if (State[S] == 0) {
           State[S] = 1;
+          Preorder.push_back(S);
           Stack.push_back({S, 0});
         } else if (State[S] == 1) {
           // Retreating edge Node -> S.
@@ -61,84 +65,109 @@ std::optional<LoopForest> LoopForest::compute(const Cfg &G,
     }
   }
 
-  // Natural loop membership per header: backward closure from the back
-  // edge sources, stopping at the header.
-  std::vector<NodeId> Headers;
-  std::vector<std::vector<char>> Member(N); // Member[h][n], headers only.
-  for (NodeId H = 0; H != N; ++H) {
+  // Natural loops, innermost first (Tarjan/Havlak). A header dominates
+  // every loop nested in it, so it precedes their headers in DFS
+  // preorder; taking headers in decreasing preorder finishes each inner
+  // loop before any loop enclosing it. A finished loop is collapsed into
+  // its header with a union-find, so the enclosing loop's backward walk
+  // from its back edge sources steps over it as a single node: every
+  // node is claimed once, by its innermost loop, and Parent records the
+  // claim (InvalidNode = no loop yet).
+  std::vector<NodeId> Rep(N);
+  std::iota(Rep.begin(), Rep.end(), NodeId(0));
+  auto find = [&](NodeId X) {
+    while (Rep[X] != X)
+      X = Rep[X] = Rep[Rep[X]];
+    return X;
+  };
+  // |T(h)|; unreachable members are added below.
+  std::vector<unsigned> LoopSize(N, 0);
+  std::vector<NodeId> Work;
+  for (auto It = Preorder.rbegin(); It != Preorder.rend(); ++It) {
+    NodeId H = *It;
     if (F.BackEdgeSources[H].empty())
       continue;
-    Headers.push_back(H);
-    Member[H].assign(N, 0);
-    std::vector<NodeId> Work;
+    auto claim = [&](NodeId X) {
+      X = find(X);
+      if (X == H)
+        return;
+      F.Parent[X] = Rep[X] = H;
+      LoopSize[H] += 1 + LoopSize[X];
+      Work.push_back(X);
+    };
     for (NodeId Src : F.BackEdgeSources[H])
-      if (!Member[H][Src]) {
-        Member[H][Src] = 1;
-        Work.push_back(Src);
-      }
+      claim(Src);
     while (!Work.empty()) {
       NodeId M = Work.back();
       Work.pop_back();
-      if (M == H)
-        continue;
       for (NodeId P : G.node(M).Preds)
-        if (P != H && !Member[H][P]) {
-          Member[H][P] = 1;
-          Work.push_back(P);
-        }
+        if (State[P])
+          claim(P);
     }
-    Member[H][H] = 0; // T(h) excludes its header.
   }
 
-  // Loop sizes determine nesting (reducible loops are disjoint or nested).
-  std::vector<unsigned> LoopSize(N, 0);
-  for (NodeId H : Headers)
-    LoopSize[H] = static_cast<unsigned>(
-        std::count(Member[H].begin(), Member[H].end(), 1));
+  // Unreachable nodes. Natural-loop membership is a backward walk that
+  // also follows predecessors the DFS never reached, so an unreachable
+  // node lies in every loop holding a reachable node it reaches through
+  // unreachable nodes alone. Such a node may lie in several disjoint
+  // loops; its parent is the smallest of them (the lowest header id on
+  // a tie), which for nested loops is the innermost.
+  std::vector<std::vector<NodeId>> UnreachedIn; // Loops, per node.
+  if (Preorder.size() != N) {
+    UnreachedIn.resize(N);
+    std::vector<NodeId> Chain;
+    std::vector<NodeId> WalkedFrom(N, InvalidNode);
+    for (NodeId M : Preorder) {
+      Chain.clear();
+      for (NodeId C = M; F.Parent[C] != InvalidNode; C = F.Parent[C])
+        Chain.push_back(F.Parent[C]);
+      if (Chain.empty())
+        continue;
+      auto reach = [&](NodeId X) {
+        for (NodeId P : G.node(X).Preds)
+          if (!State[P] && WalkedFrom[P] != M) {
+            WalkedFrom[P] = M;
+            Work.push_back(P);
+          }
+      };
+      reach(M);
+      while (!Work.empty()) {
+        NodeId X = Work.back();
+        Work.pop_back();
+        UnreachedIn[X].insert(UnreachedIn[X].end(), Chain.begin(),
+                              Chain.end());
+        reach(X);
+      }
+    }
+    for (NodeId X = 0; X != N; ++X) {
+      std::vector<NodeId> &Loops = UnreachedIn[X];
+      std::sort(Loops.begin(), Loops.end());
+      Loops.erase(std::unique(Loops.begin(), Loops.end()), Loops.end());
+      for (NodeId H : Loops)
+        ++LoopSize[H];
+    }
+  }
 
-  // Innermost enclosing header per node = the smallest loop containing it.
+  // Parents and levels. A parent precedes its members in preorder, and
+  // every unreachable node's parent is reachable.
+  for (NodeId Node : Preorder)
+    if (Node != F.Root) {
+      if (F.Parent[Node] == InvalidNode)
+        F.Parent[Node] = F.Root;
+      F.Level[Node] = F.Level[F.Parent[Node]] + 1;
+    }
   for (NodeId Node = 0; Node != N; ++Node) {
-    if (Node == F.Root)
+    if (State[Node])
       continue;
     NodeId Best = F.Root;
     unsigned BestSize = ~0u;
-    for (NodeId H : Headers) {
-      if (!Member[H][Node])
-        continue;
+    for (NodeId H : UnreachedIn[Node])
       if (LoopSize[H] < BestSize) {
         Best = H;
         BestSize = LoopSize[H];
       }
-    }
     F.Parent[Node] = Best;
-  }
-
-  // Levels follow the parent chain. Parents of headers point to loops that
-  // strictly contain them, so the chain is acyclic; resolve with memoized
-  // walks.
-  std::vector<char> LevelKnown(N, 0);
-  LevelKnown[F.Root] = 1;
-  for (NodeId Node = 0; Node != N; ++Node) {
-    if (LevelKnown[Node])
-      continue;
-    std::vector<NodeId> Chain;
-    NodeId Cur = Node;
-    while (!LevelKnown[Cur]) {
-      Chain.push_back(Cur);
-      Cur = F.Parent[Cur];
-      if (Cur == InvalidNode) {
-        // Unreachable node; give it level 1 under ROOT.
-        Cur = F.Root;
-        break;
-      }
-    }
-    unsigned L = F.Level[Cur];
-    for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-      F.Level[*It] = ++L;
-      LevelKnown[*It] = 1;
-      if (F.Parent[*It] == InvalidNode)
-        F.Parent[*It] = F.Root;
-    }
+    F.Level[Node] = F.Level[Best] + 1;
   }
 
   return F;

@@ -11,6 +11,9 @@
 /// nested, strongly connected regions entered through a unique header).
 /// The intervals of a reducible graph form a forest; the CFG entry node
 /// acts as ROOT, a pseudo-header for the entire program with LEVEL 0.
+/// The forest is built in near-linear time: each natural loop is walked
+/// once, with the loops nested in it collapsed to single nodes by a
+/// union-find (Tarjan/Havlak).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -94,10 +94,27 @@ AffineExpr AffineExpr::substitute(const std::string &Sym,
 std::optional<long long> AffineExpr::differenceFrom(const AffineExpr &RHS) const {
   if (!Affine || !RHS.Affine)
     return std::nullopt;
-  AffineExpr D = *this - RHS;
-  if (!D.isConstant())
-    return std::nullopt;
-  return D.getConstant();
+  // Walk both sorted term maps in step, keeping exactly the terms that
+  // `*this - RHS` would: a term of *this alone survives as is, a term of
+  // RHS alone survives negated unless its coefficient is zero, and a
+  // shared term survives unless the coefficients are equal.
+  auto L = Terms.begin(), LE = Terms.end();
+  auto R = RHS.Terms.begin(), RE = RHS.Terms.end();
+  while (L != LE || R != RE) {
+    if (R == RE || (L != LE && L->first < R->first))
+      return std::nullopt;
+    if (L == LE || R->first < L->first) {
+      if (R->second != 0)
+        return std::nullopt;
+      ++R;
+      continue;
+    }
+    if (L->second != R->second)
+      return std::nullopt;
+    ++L;
+    ++R;
+  }
+  return Const - RHS.Const;
 }
 
 bool AffineExpr::operator<(const AffineExpr &RHS) const {

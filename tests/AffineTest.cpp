@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace gnt;
 using namespace gnt::build;
 
@@ -100,6 +102,58 @@ TEST(Affine, DifferenceFrom) {
 
   AffineExpr M = AffineExpr::symbol("m");
   EXPECT_FALSE(N5.differenceFrom(M).has_value());
+
+  // Property: differenceFrom answers exactly as (A - B) does. Operands
+  // draw terms from a small symbol pool, so terms are shared (with equal
+  // or different coefficients) or one-sided; B is often A shifted by a
+  // constant or with one term changed, and either side may be
+  // non-affine.
+  std::mt19937 Rng(1009);
+  const char *const Syms[] = {"i", "j", "n", "m"};
+  auto coeff = [&] { return static_cast<long long>(Rng() % 7) - 3; };
+  auto randomExpr = [&] {
+    if (Rng() % 12 == 0)
+      return AffineExpr();
+    AffineExpr E =
+        AffineExpr::constant(static_cast<long long>(Rng() % 41) - 20);
+    for (const char *S : Syms)
+      if (Rng() % 2)
+        E = E + AffineExpr::symbol(S) * AffineExpr::constant(coeff());
+    return E;
+  };
+  unsigned Constant = 0, Symbolic = 0, NonAffine = 0;
+  for (unsigned Trial = 0; Trial != 20000; ++Trial) {
+    AffineExpr A = randomExpr(), B;
+    switch (Rng() % 4) {
+    case 0:
+      B = randomExpr();
+      break;
+    case 1:
+      B = A + AffineExpr::constant(coeff());
+      break;
+    case 2:
+      B = A + AffineExpr::symbol(Syms[Rng() % 4]) *
+                  AffineExpr::constant(coeff());
+      break;
+    case 3:
+      B = A.substitute(Syms[Rng() % 4], randomExpr());
+      break;
+    }
+    AffineExpr Diff = A - B;
+    std::optional<long long> D = A.differenceFrom(B);
+    ASSERT_EQ(D.has_value(), Diff.isConstant())
+        << A.toString() << " vs " << B.toString();
+    if (D) {
+      ASSERT_EQ(*D, Diff.getConstant())
+          << A.toString() << " vs " << B.toString();
+    }
+    Constant += D.has_value();
+    NonAffine += !A.isAffine() || !B.isAffine();
+    Symbolic += !D && A.isAffine() && B.isAffine();
+  }
+  EXPECT_GT(Constant, 2000u);
+  EXPECT_GT(Symbolic, 2000u);
+  EXPECT_GT(NonAffine, 1000u);
 }
 
 TEST(Section, Printing) {
