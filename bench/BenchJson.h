@@ -13,8 +13,8 @@
 //
 //   {"schema": "gnt-bench-v1",
 //    "benchmarks": [
-//      {"name": "BM_ArenaSolveWide/4096",
-//       "config": {"items": 4096.0, ...},   // the run's counters
+//      {"name": "BM_GntSolve/1600",
+//       "config": {"items": 188.0, ...},    // the run's counters
 //       "metric": 12345.678,                // real time per iteration
 //       "unit": "ns"}, ...]}
 //

@@ -18,8 +18,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <random>
-
 using namespace gnt;
 using namespace gnt::bench;
 
@@ -129,62 +127,6 @@ void BM_IntervalBuild(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_IntervalBuild)->Arg(100)->Arg(400)->Arg(1600);
-
-//===----------------------------------------------------------------------===//
-// Wide-universe sweeps: arena vs classic evaluator
-//===----------------------------------------------------------------------===//
-//
-// The communication problems of generated programs have universes of at
-// most a few hundred items, too narrow to expose per-word costs. These
-// sweeps keep the graph fixed and synthesize problems with universes up
-// to 16k items (256 words per set), the regime the DataflowMatrix arena
-// targets.
-
-/// A seeded problem with \p Universe items over \p B's graph: every
-/// node takes/gives/steals a sparse random selection.
-GntProblem syntheticProblem(const Built &B, unsigned Universe,
-                            unsigned Seed) {
-  std::mt19937 Rng(Seed);
-  unsigned N = B.Ifg.size();
-  GntProblem P(N, Universe);
-  for (unsigned Node = 0; Node != N; ++Node) {
-    for (unsigned Draw = 0, E = 2 + Rng() % 6; Draw != E; ++Draw)
-      P.TakeInit[Node].set(Rng() % Universe);
-    for (unsigned Draw = 0, E = 1 + Rng() % 4; Draw != E; ++Draw)
-      P.GiveInit[Node].set(Rng() % Universe);
-    for (unsigned Draw = 0, E = Rng() % 3; Draw != E; ++Draw)
-      P.StealInit[Node].set(Rng() % Universe);
-  }
-  return P;
-}
-
-void BM_ArenaSolveWide(benchmark::State &State) {
-  unsigned Universe = static_cast<unsigned>(State.range(0));
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticProblem(B, Universe, 99);
-  for (auto _ : State) {
-    GntResult R = solveGiveNTake(B.Ifg, P);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-  State.counters["nodes"] = B.Ifg.size();
-}
-BENCHMARK(BM_ArenaSolveWide)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
-
-/// The pre-arena evaluator on the same problems: the speedup the arena
-/// must hold is BM_ClassicSolveWide / BM_ArenaSolveWide >= 1.5 at 4096+
-/// items.
-void BM_ClassicSolveWide(benchmark::State &State) {
-  unsigned Universe = static_cast<unsigned>(State.range(0));
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticProblem(B, Universe, 99);
-  for (auto _ : State) {
-    GntResult R = solveGiveNTakeClassic(B.Ifg, P);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-}
-BENCHMARK(BM_ClassicSolveWide)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 } // namespace
 

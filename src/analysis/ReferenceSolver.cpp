@@ -9,12 +9,14 @@
 /// until a sweep changes nothing. Because set difference against a
 /// computed variable is not monotone, convergence relies on the
 /// dependency DAG rather than lattice monotonicity: once a variable's
-/// inputs have settled, one more evaluation settles the variable, so the
-/// process stabilizes in at most depth-of-DAG sweeps. Sweeps visit nodes
-/// in the Figure 15 orders (S1/S2 in reverse preorder, S3 in preorder),
-/// which keeps that depth small, but unlike the elimination solver
-/// nothing here *depends* on one pass sufficing — the fixed point is
-/// verified, not assumed.
+/// inputs have settled, one more evaluation settles the variable. Sweeps
+/// visit the equations where Figure 15 places them — S2 (Eq. 9-10) for
+/// the children of n just before S1(n) in reverse preorder, S3 in
+/// preorder, then S4 — so every input is settled before it is read:
+/// sweep 1 reaches the fixed point and sweep 2 re-evaluates every
+/// equation to verify it. The visit order decides only how many sweeps
+/// that takes, never which fixed point is verified, and unlike the
+/// elimination solver nothing here *depends* on one pass sufficing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +68,10 @@ public:
     // behavior is part of the AFTER problem's specification (the header
     // poisoning keeps the result safe regardless), so the oracle
     // replicates it: Eq. 9/10 inputs from later schedule positions are
-    // pinned to bottom. On forward graphs every pred is scheduled
-    // earlier and the pin never fires.
+    // pinned to bottom. Sweep 1 reads those rows before writing them,
+    // as the one-pass solver does; the pin keeps later sweeps from
+    // reading their settled values. On forward graphs every pred is
+    // scheduled earlier and the pin never fires.
     S2Pos.assign(N, 0);
     unsigned Counter = 0;
     const std::vector<NodeId> &Pre = Ifg.preorder();
@@ -141,21 +145,21 @@ private:
     Changed = false;
     const std::vector<NodeId> &Pre = Ifg.preorder();
 
-    // S1 + S2, reverse preorder.
+    // S2 for the children of n, then S1(n), reverse preorder.
     for (auto It = Pre.rbegin(), End = Pre.rend(); It != End; ++It) {
       NodeId Node = *It;
 
-      if (Node != Ifg.root()) {
+      for (NodeId C : Ifg.children(Node)) {
         // Eq. 9, with preds the elimination schedule has not evaluated
         // yet pinned to bottom (see the constructor): an empty meet
         // operand, so the whole meet term vanishes.
         BitVector GL(U);
         bool First = true;
-        for (const IfgEdge &E : Ifg.preds(Node)) {
+        for (const IfgEdge &E : Ifg.preds(C)) {
           if (E.Type != ET::Forward && E.Type != ET::Jump)
             continue;
           BitVector V(U);
-          if (S2Pos[E.Src] < S2Pos[Node])
+          if (S2Pos[E.Src] < S2Pos[C])
             V = R.GiveLoc[E.Src];
           if (First) {
             GL = std::move(V);
@@ -164,16 +168,16 @@ private:
             GL &= V;
           }
         }
-        GL |= R.Give[Node];
-        GL |= R.Take[Node];
-        GL.reset(R.Steal[Node]);
-        set(R.GiveLoc, Node, std::move(GL));
+        GL |= R.Give[C];
+        GL |= R.Take[C];
+        GL.reset(R.Steal[C]);
+        set(R.GiveLoc, C, std::move(GL));
 
         // Eq. 10, same schedule pinning: a bottom input is an empty
         // union term, so the edge is skipped.
-        BitVector SL = R.Steal[Node];
-        for (const IfgEdge &E : Ifg.preds(Node)) {
-          if (S2Pos[E.Src] > S2Pos[Node])
+        BitVector SL = R.Steal[C];
+        for (const IfgEdge &E : Ifg.preds(C)) {
+          if (S2Pos[E.Src] > S2Pos[C])
             continue;
           if (E.Type == ET::Forward || E.Type == ET::Jump) {
             BitVector T = R.StealLoc[E.Src];
@@ -183,7 +187,7 @@ private:
             SL |= R.StealLoc[E.Src];
           }
         }
-        set(R.StealLoc, Node, std::move(SL));
+        set(R.StealLoc, C, std::move(SL));
       }
 
       // Eq. 1 / Eq. 2.

@@ -6,13 +6,14 @@
 ///
 /// \file
 /// A from-scratch re-implementation of the GIVE-N-TAKE equations
-/// (Figure 13) solved by chaotic iteration from bottom instead of the
-/// production solver's one-pass elimination schedule (Figure 15). The
-/// equation dependencies are acyclic in the schedule order, so iteration
-/// converges to the same unique fixed point; the auditor's differential
-/// check compares the two solutions variable by variable, catching
-/// schedule-ordering bugs, stale-read regressions and any drift between
-/// the two implementations of the equations themselves.
+/// (Figure 13), one BitVector temporary per term, iterated from bottom
+/// until a full re-evaluation sweep changes nothing. It visits the
+/// equations in the Figure 15 order, so the first sweep reaches the
+/// fixed point and the second verifies it; the production arena solver
+/// assumes that one pass suffices, this oracle checks it. The
+/// auditor's differential check compares the two solutions variable by
+/// variable, catching schedule-ordering bugs, stale-read regressions
+/// and any drift between the two implementations of the equations.
 ///
 /// The implemented refinements of the production solver are replicated
 /// deliberately (they are part of the specification being checked):
@@ -38,8 +39,8 @@ struct ReferenceResult {
 
 /// Solves \p P over \p Ifg (already oriented; see runGiveNTake) by
 /// repeated full re-evaluation of Equations 1-15 until no variable
-/// changes. \p MaxSweeps caps the iteration; 0 picks a bound that any
-/// converging instance satisfies comfortably.
+/// changes, which takes two sweeps. \p MaxSweeps caps the iteration; 0
+/// picks a bound that any converging instance satisfies comfortably.
 ReferenceResult solveGiveNTakeIterative(const IntervalFlowGraph &Ifg,
                                         const GntProblem &P,
                                         unsigned MaxSweeps = 0);

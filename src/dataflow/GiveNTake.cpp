@@ -20,22 +20,16 @@
 /// computed, so one evaluation per node per equation reaches the fixed
 /// point (the framework is "fast" in the Graham/Wegman sense).
 ///
-/// Two evaluators implement the schedule:
-///
-///  - the arena solver (solveGiveNTake): all 20 dataflow variables live
-///    in one flat DataflowMatrix allocation. Each schedule step runs as
-///    a few vectorizable word sweeps per node — edge-list gathers into
-///    scratch rows, then one fixed-arity fused loop — with no
-///    allocation during evaluation. The result's BitVectors borrow the
-///    arena rows outright (GntResult::Arena keeps the storage alive),
-///    so exporting costs nothing.
-///  - the classic solver (solveGiveNTakeClassic): the original
-///    one-BitVector-temporary-per-term evaluator, kept as the
-///    differential oracle and the bench baseline.
-///
-/// Both walk the nodes in the same order and read the same stored values
-/// at every step, so their results are bit-for-bit identical; the
-/// property battery enforces this.
+/// The solver (solveGiveNTake) keeps all 20 dataflow variables in one
+/// flat DataflowMatrix allocation. Each schedule step runs as a few
+/// vectorizable word sweeps per node — edge-list gathers into scratch
+/// rows, then one fixed-arity fused loop — with no allocation during
+/// evaluation. The result's BitVectors borrow the arena rows outright
+/// (GntResult::Arena keeps the storage alive), so exporting costs
+/// nothing. The independent oracle is analysis/ReferenceSolver: it
+/// evaluates the same equations one BitVector term at a time and
+/// verifies the fixed point instead of assuming it; the auditor and the
+/// property battery compare the two field by field.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,308 +46,6 @@
 using namespace gnt;
 
 std::atomic<bool> gnt::detail::InjectFusedSweepBug{false};
-
-//===----------------------------------------------------------------------===//
-// Classic evaluator (pre-arena differential oracle and bench baseline)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Union of \p Var over the \p Types-typed successors of \p N.
-BitVector unionSuccs(const IntervalFlowGraph &Ifg,
-                     const std::vector<BitVector> &Var, NodeId N,
-                     std::initializer_list<EdgeType> Types, unsigned U) {
-  BitVector R(U);
-  for (const IfgEdge &E : Ifg.succs(N))
-    for (EdgeType T : Types)
-      if (E.Type == T) {
-        R |= Var[E.Dst];
-        break;
-      }
-  return R;
-}
-
-/// Intersection of \p Var over the \p Types-typed successors of \p N;
-/// yields bottom (the empty set) if there are no such successors, as
-/// Section 4 specifies.
-BitVector meetSuccs(const IntervalFlowGraph &Ifg,
-                    const std::vector<BitVector> &Var, NodeId N,
-                    std::initializer_list<EdgeType> Types, unsigned U) {
-  BitVector R(U);
-  bool First = true;
-  for (const IfgEdge &E : Ifg.succs(N))
-    for (EdgeType T : Types)
-      if (E.Type == T) {
-        if (First) {
-          R = Var[E.Dst];
-          First = false;
-        } else {
-          R &= Var[E.Dst];
-        }
-        break;
-      }
-  return R;
-}
-
-BitVector unionPreds(const IntervalFlowGraph &Ifg,
-                     const std::vector<BitVector> &Var, NodeId N,
-                     std::initializer_list<EdgeType> Types, unsigned U) {
-  BitVector R(U);
-  for (const IfgEdge &E : Ifg.preds(N))
-    for (EdgeType T : Types)
-      if (E.Type == T) {
-        R |= Var[E.Src];
-        break;
-      }
-  return R;
-}
-
-BitVector meetPreds(const IntervalFlowGraph &Ifg,
-                    const std::vector<BitVector> &Var, NodeId N,
-                    std::initializer_list<EdgeType> Types, unsigned U) {
-  BitVector R(U);
-  bool First = true;
-  for (const IfgEdge &E : Ifg.preds(N))
-    for (EdgeType T : Types)
-      if (E.Type == T) {
-        if (First) {
-          R = Var[E.Src];
-          First = false;
-        } else {
-          R &= Var[E.Src];
-        }
-        break;
-      }
-  return R;
-}
-
-} // namespace
-
-GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
-                                     const GntProblem &P) {
-  const unsigned N = Ifg.size();
-  const unsigned U = P.UniverseSize;
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
-
-  GntResult R;
-  auto alloc = [&](std::vector<BitVector> &V) {
-    V.assign(N, BitVector(U));
-  };
-  alloc(R.Steal);
-  alloc(R.Give);
-  alloc(R.Block);
-  alloc(R.TakenOut);
-  alloc(R.Take);
-  alloc(R.TakenIn);
-  alloc(R.BlockLoc);
-  alloc(R.TakeLoc);
-  alloc(R.GiveLoc);
-  alloc(R.StealLoc);
-  for (GntPlacement *Pl : {&R.Eager, &R.Lazy}) {
-    alloc(Pl->GivenIn);
-    alloc(Pl->Given);
-    alloc(Pl->GivenOut);
-    alloc(Pl->ResIn);
-    alloc(Pl->ResOut);
-  }
-
-  using ET = EdgeType;
-  const std::vector<NodeId> &Pre = Ifg.preorder();
-
-  std::vector<char> NoHoist(N, 0);
-  for (NodeId H : P.NoHoistHeaders)
-    NoHoist[H] = 1;
-
-  //===------------------------------------------------------------------===//
-  // Pass 1 (REVERSEPREORDER): S2 for the children of n, then S1(n).
-  //===------------------------------------------------------------------===//
-  for (auto It = Pre.rbegin(), E = Pre.rend(); It != E; ++It) {
-    NodeId Node = *It;
-
-    for (NodeId C : Ifg.children(Node)) {
-      // Eq. 9: GIVE_loc(c) =
-      //   (GIVE(c) u TAKE(c) u meet_{p in PREDS^FJ} GIVE_loc(p)) - STEAL(c)
-      BitVector GL = meetPreds(Ifg, R.GiveLoc, C, {ET::Forward, ET::Jump}, U);
-      GL |= R.Give[C];
-      GL |= R.Take[C];
-      GL.reset(R.Steal[C]);
-      R.GiveLoc[C] = std::move(GL);
-
-      // Eq. 10: STEAL_loc(c) = STEAL(c)
-      //   u union_{p in PREDS^FJ} (STEAL_loc(p) - GIVE_loc(p))
-      //   u union_{p in PREDS^S} STEAL_loc(p)
-      BitVector SL = R.Steal[C];
-      for (const IfgEdge &Edge : Ifg.preds(C)) {
-        if (Edge.Type == ET::Forward || Edge.Type == ET::Jump) {
-          BitVector T = R.StealLoc[Edge.Src];
-          T.reset(R.GiveLoc[Edge.Src]);
-          SL |= T;
-        } else if (Edge.Type == ET::Synthetic) {
-          // The jumped-out interval may have been left mid-flight, so its
-          // resupplies (GIVE_loc) cannot be subtracted.
-          SL |= R.StealLoc[Edge.Src];
-        }
-      }
-      R.StealLoc[C] = std::move(SL);
-    }
-
-    // Eq. 1 / Eq. 2: fold the interval summary of the last child into the
-    // header's own effects. NoHoist headers keep the STEAL summary (it
-    // only blocks) but drop the GIVE summary: production inside a loop
-    // that may run zero times must not count as available past it.
-    R.Steal[Node] = P.StealInit[Node];
-    R.Give[Node] = P.GiveInit[Node];
-    if (Ifg.isHeader(Node) && Ifg.lastChild(Node) != InvalidNode) {
-      R.Steal[Node] |= R.StealLoc[Ifg.lastChild(Node)];
-      if (!NoHoist[Node])
-        R.Give[Node] |= R.GiveLoc[Ifg.lastChild(Node)];
-    }
-
-    // Eq. 3: BLOCK(n) = STEAL(n) u GIVE(n) u union_{s in SUCCS^E} BLOCK_loc(s)
-    R.Block[Node] = unionSuccs(Ifg, R.BlockLoc, Node, {ET::Entry}, U);
-    R.Block[Node] |= R.Steal[Node];
-    R.Block[Node] |= R.Give[Node];
-
-    // Eq. 4: TAKEN_out(n) = meet_{s in SUCCS^FJS} TAKEN_in(s)
-    R.TakenOut[Node] = meetSuccs(Ifg, R.TakenIn, Node,
-                                 {ET::Forward, ET::Jump, ET::Synthetic}, U);
-
-    // Eq. 5: TAKE(n) = TAKE_init(n)
-    //   u (union_{s in SUCCS^E} TAKEN_in(s) - STEAL(n))
-    //   u ((TAKEN_out(n) n union_{s in SUCCS^E} TAKE_loc(s)) - BLOCK(n))
-    // For NoHoist headers the loop-body contributions are ignored
-    // (Section 5.3's per-header alternative to STEAL_init poisoning).
-    R.Take[Node] = P.TakeInit[Node];
-    if (!NoHoist[Node]) {
-      BitVector Hoisted = unionSuccs(Ifg, R.TakenIn, Node, {ET::Entry}, U);
-      Hoisted.reset(R.Steal[Node]);
-      BitVector Maybe = unionSuccs(Ifg, R.TakeLoc, Node, {ET::Entry}, U);
-      Maybe &= R.TakenOut[Node];
-      Maybe.reset(R.Block[Node]);
-      R.Take[Node] |= Hoisted;
-      R.Take[Node] |= Maybe;
-    }
-
-    // Eq. 6: TAKEN_in(n) = TAKE(n) u (TAKEN_out(n) - BLOCK(n)).
-    // NoHoist headers are analysis barriers in this direction too:
-    // consumption after the loop must not pull production above it, or
-    // paths jumping out of the loop would see unbalanced productions.
-    if (NoHoist[Node]) {
-      R.TakenIn[Node] = R.Take[Node];
-    } else {
-      BitVector T = R.TakenOut[Node];
-      T.reset(R.Block[Node]);
-      T |= R.Take[Node];
-      R.TakenIn[Node] = std::move(T);
-    }
-
-    // Eq. 7: BLOCK_loc(n) = (BLOCK(n) u union_{s in SUCCS^F} BLOCK_loc(s))
-    //   - TAKE(n)
-    {
-      BitVector B = unionSuccs(Ifg, R.BlockLoc, Node, {ET::Forward}, U);
-      B |= R.Block[Node];
-      B.reset(R.Take[Node]);
-      R.BlockLoc[Node] = std::move(B);
-    }
-
-    // Eq. 8: TAKE_loc(n) = TAKE(n)
-    //   u (union_{s in SUCCS^EF} TAKE_loc(s) - BLOCK(n))
-    {
-      BitVector T = unionSuccs(Ifg, R.TakeLoc, Node, {ET::Entry, ET::Forward},
-                               U);
-      T.reset(R.Block[Node]);
-      T |= R.Take[Node];
-      R.TakeLoc[Node] = std::move(T);
-    }
-  }
-
-  //===------------------------------------------------------------------===//
-  // Pass 2 (PREORDER): S3 — Eq. 11-13 for EAGER and LAZY. ROOT's
-  // placement variables stay at bottom so production is assigned to real
-  // program nodes (the paper excludes ROOT from its worked example).
-  //===------------------------------------------------------------------===//
-  for (NodeId Node : Pre) {
-    if (Node == Ifg.root())
-      continue;
-    for (Urgency Urg : {Urgency::Eager, Urgency::Lazy}) {
-      GntPlacement &Pl = Urg == Urgency::Eager ? R.Eager : R.Lazy;
-
-      // Eq. 11: GIVEN_in(n) = GIVEN(HEADER(n))
-      //   u meet_{p in PREDS^FJ} GIVEN_out(p)
-      //   u (TAKEN_in(n) n union_{q in PREDS^FJ} GIVEN_out(q))
-      //
-      // Soundness refinement over the paper's literal equation: the
-      // in-flow from the header subtracts the loop's STEAL summary. An
-      // item stolen somewhere in the body is not guaranteed at the body
-      // top on iterations after the first, so consumers inside must
-      // re-produce it (the literal GIVEN(HEADER) term would let a
-      // pre-loop production cover every iteration).
-      // NoHoist headers are fully opaque: availability does not flow
-      // into the body at all, so in-loop consumers get per-iteration
-      // production pairs in both solutions (keeping C1 balance).
-      BitVector In =
-          meetPreds(Ifg, Pl.GivenOut, Node, {ET::Forward, ET::Jump}, U);
-      if (Ifg.headerOf(Node) != InvalidNode &&
-          !NoHoist[Ifg.headerOf(Node)]) {
-        BitVector FromHeader = Pl.Given[Ifg.headerOf(Node)];
-        FromHeader.reset(R.Steal[Ifg.headerOf(Node)]);
-        In |= FromHeader;
-      }
-      {
-        BitVector Some =
-            unionPreds(Ifg, Pl.GivenOut, Node, {ET::Forward, ET::Jump}, U);
-        Some &= R.TakenIn[Node];
-        In |= Some;
-      }
-      Pl.GivenIn[Node] = std::move(In);
-
-      // Eq. 12: GIVEN(n) = GIVEN_in(n) u (EAGER ? TAKEN_in(n) : TAKE(n))
-      Pl.Given[Node] = Pl.GivenIn[Node];
-      Pl.Given[Node] |=
-          Urg == Urgency::Eager ? R.TakenIn[Node] : R.Take[Node];
-
-      // Eq. 13: GIVEN_out(n) = (GIVE(n) u GIVEN(n)) - STEAL(n)
-      BitVector Out = R.Give[Node];
-      Out |= Pl.Given[Node];
-      Out.reset(R.Steal[Node]);
-      Pl.GivenOut[Node] = std::move(Out);
-    }
-  }
-
-  //===------------------------------------------------------------------===//
-  // Pass 3 (any order): S4 — Eq. 14-15.
-  //===------------------------------------------------------------------===//
-  for (NodeId Node : Pre) {
-    for (GntPlacement *Pl : {&R.Eager, &R.Lazy}) {
-      // Eq. 14: RES_in(n) = GIVEN(n) - GIVEN_in(n)
-      Pl->ResIn[Node] = Pl->Given[Node];
-      Pl->ResIn[Node].reset(Pl->GivenIn[Node]);
-
-      // Eq. 15: RES_out(n) = union_{s in SUCCS^FJ} GIVEN_in(s)
-      //   - GIVEN_out(n)
-      BitVector Out = unionSuccs(Ifg, Pl->GivenIn, Node,
-                                 {ET::Forward, ET::Jump}, U);
-      Out.reset(Pl->GivenOut[Node]);
-      Pl->ResOut[Node] = std::move(Out);
-
-      // The paper's no-critical-edge argument (Section 4.5) implies exit
-      // production only lands on single-successor nodes.  JUMP edges are
-      // the one exception: a jump source keeps both its fall-through and
-      // its jump successor (normalization never splits jump edges), so
-      // the argument does not apply there; Section 5.3's header poisoning
-      // keeps such placements balanced instead.
-      assert((Pl->ResOut[Node].none() || Ifg.succs(Node).size() == 1 ||
-              std::any_of(Ifg.succs(Node).begin(), Ifg.succs(Node).end(),
-                          [](const IfgEdge &E) {
-                            return E.Type == EdgeType::Jump;
-                          })) &&
-             "RES_out on a multi-successor non-jump node");
-    }
-  }
-
-  return R;
-}
 
 //===----------------------------------------------------------------------===//
 // Arena evaluator
@@ -401,7 +93,7 @@ using RowList = std::vector<const Word *>;
 // into one row with the support/SimdKernels.h primitives; each fused
 // sweep then finishes one schedule step's equations in a single pass.
 // Every variable is a pure per-word bitwise function of its operands,
-// so the fused loops reproduce the classic evaluator bit for bit.
+// so the fused loops reproduce a per-equation evaluation bit for bit.
 // Aliasing contract: a destination is always the row of one (field,
 // node) pair, every source is a different row or init storage, and
 // several *sources* may alias each other (absent operands all point at
@@ -478,7 +170,10 @@ fuseS1(unsigned W, const Word *__restrict StealI, const Word *__restrict GiveI,
     Word Take =
         TakeI[K] | (EntryTaken[K] & ~Steal) | (EntryTake[K] & TOut & ~Block);
     // Eq. 6: TAKEN_in(n) = TAKE(n) u (TAKEN_out(n) - BLOCK(n)); a
-    // NoHoist header keeps only TAKE(n).
+    // NoHoist header keeps only TAKE(n): it is an analysis barrier in
+    // this direction too, since consumption after the loop must not pull
+    // production above it, or paths jumping out of the loop would see
+    // unbalanced productions.
     Word TakenIn = Take | (TOut & ~Block & HoistMask);
     // Eq. 7: BLOCK_loc(n) = (BLOCK(n) u union_{s in SUCCS^F} BLOCK_loc(s))
     //   - TAKE(n)
@@ -514,8 +209,13 @@ inline void fuseS3(unsigned W, Word *__restrict RGivenIn,
     // Eq. 11: GIVEN_in(n) = (GIVEN(HEADER(n)) - STEAL(HEADER(n)))
     //   u meet_{p in PREDS^FJ} GIVEN_out(p)
     //   u (TAKEN_in(n) n union_{q in PREDS^FJ} GIVEN_out(q))
-    // (the header's STEAL summary is the classic solver's soundness
-    // refinement of the paper's literal equation).
+    // The header's STEAL summary is a soundness refinement of the
+    // paper's literal equation: an item stolen somewhere in the body is
+    // not guaranteed at the body top on iterations after the first, so
+    // consumers inside must re-produce it. NoHoist headers pass zero
+    // rows, so availability does not flow into their bodies at all and
+    // in-loop consumers get per-iteration production pairs in both
+    // solutions (keeping C1 balance).
     Word In = RGivenIn[K] | (HdrGiven[K] & ~HdrSteal[K]) |
               (PredUnion[K] & NTakenIn[K]);
     // Eq. 12: GIVEN(n) = GIVEN_in(n) u (EAGER ? TAKEN_in(n) : TAKE(n))
@@ -550,15 +250,14 @@ inline Word fuseS4(unsigned W, bool FlipEq14, const Word *__restrict RGiven,
   return AnyOut;
 }
 
-/// The fused evaluator: identical schedule and identical reads as the
-/// classic solver, but all variables live in \p M and each schedule
-/// step runs as a handful of vectorizable word sweeps per node — union
-/// and meet gathers over the edge lists, then one fixed-arity fused
-/// pass with no allocation anywhere. (Splitting the word range into
-/// cache-sized chunks was measured and rejected: the per-pass graph
-/// walk and edge-list assembly repeated per chunk cost roughly 2x more
-/// than the locality it bought, because each schedule step already
-/// streams the arena linearly.)
+/// The fused evaluator: the Figure 15 schedule with every variable in
+/// \p M, each schedule step run as a handful of vectorizable word
+/// sweeps per node — union and meet gathers over the edge lists, then
+/// one fixed-arity fused pass with no allocation anywhere. (Splitting
+/// the word range into cache-sized chunks was measured and rejected:
+/// the per-pass graph walk and edge-list assembly repeated per chunk
+/// cost roughly 2x more than the locality it bought, because each
+/// schedule step already streams the arena linearly.)
 void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
                     DataflowMatrix &M,
                     const detail::ArenaSolveMasks *Masks = nullptr) {
@@ -624,9 +323,9 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
   const Word *ZeroRow = Scratch.data() + 6 * W; // never written
 
   // The arena arrives uninitialized, so every row that can be read (or
-  // exported) before its equation writes it must start at bottom,
-  // mirroring the classic solver's zero-initialized vectors. Three
-  // classes qualify:
+  // exported) before its equation writes it must start at bottom, as
+  // the reference solver's zero-initialized vectors do. Three classes
+  // qualify:
   //
   //  - fields gathered across edges or into header summaries (TAKEN_in,
   //    BLOCK_loc, TAKE_loc, GIVE_loc, STEAL_loc, GIVEN_out): the

@@ -25,8 +25,9 @@
 ///
 /// The solver runs fused word sweeps over one flat DataflowMatrix arena
 /// (solveGiveNTake); dataflow/Incremental.h re-solves only the schedule
-/// steps an edit can reach. Both are byte-identical to the classic
-/// per-equation evaluator kept as the differential oracle.
+/// steps an edit can reach. Both are byte-identical to the iterative
+/// reference solver (analysis/ReferenceSolver.h), the differential
+/// oracle of the auditor and the property battery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,11 +48,12 @@ class DataflowMatrix;
 namespace detail {
 /// Test-only fault injection: when set, the arena evaluator's fused S4
 /// sweep computes Eq. 14 as GIVEN n GIVEN_in instead of
-/// GIVEN - GIVEN_in. The classic per-equation solver is unaffected, so
-/// the fuzzer's differential oracle must flag every program with a
-/// nonempty placement. Exists solely so gnt-fuzz --inject-bug and
-/// FuzzTest can prove the harness catches and minimizes a real solver
-/// bug; never set on a production path.
+/// GIVEN - GIVEN_in. The reference solver is unaffected, so the audit's
+/// differential check, which the fuzz oracle runs on every input, must
+/// flag every program with a nonempty placement. Exists solely so
+/// gnt-fuzz --inject-fused-sweep-bug and FuzzTest can prove the harness
+/// catches and minimizes a real solver bug; never set on a production
+/// path.
 extern std::atomic<bool> InjectFusedSweepBug;
 } // namespace detail
 
@@ -163,18 +165,11 @@ void forEachGntField(ResultT &&R, Fn &&F) {
 ///
 /// The evaluator works on a flat DataflowMatrix arena (one contiguous
 /// allocation for all 20 variables) and fuses the equations of each
-/// schedule step into a single word loop per node; the result is
-/// materialized into the BitVector fields afterwards. Values are
-/// bit-for-bit identical to solveGiveNTakeClassic().
+/// schedule step into a single word loop per node; the result's
+/// BitVector fields borrow the arena rows. Values are bit-for-bit
+/// identical to the reference solver's (solveGiveNTakeIterative in
+/// analysis/ReferenceSolver.h).
 GntResult solveGiveNTake(const IntervalFlowGraph &Ifg, const GntProblem &P);
-
-/// The pre-arena evaluator: one BitVector temporary per equation term,
-/// exactly one equation at a time. Kept as the differential oracle for
-/// the arena solver (the property battery asserts byte-identical
-/// results) and as the baseline bench_solver_scaling measures the arena
-/// speedup against. Not used on any production path.
-GntResult solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
-                                const GntProblem &P);
 
 /// A complete, oriented GIVE-N-TAKE run.
 struct GntRun {

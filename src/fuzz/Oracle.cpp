@@ -38,40 +38,6 @@ PipelineOptions checkedOptions() {
   return Opts;
 }
 
-/// The (name, field) rows of a solver result, in forEachGntField order.
-std::vector<std::pair<std::string, const std::vector<BitVector> *>>
-solverFields(const GntResult &R) {
-  std::vector<std::pair<std::string, const std::vector<BitVector> *>> Out;
-  forEachGntField(R, [&](const char *Name, const std::vector<BitVector> &V) {
-    Out.emplace_back(Name, &V);
-  });
-  return Out;
-}
-
-/// Byte-compares \p Got against \p Want field by field; appends one
-/// finding per mismatching field.
-void diffResults(const GntResult &Want, const GntResult &Got,
-                 const std::string &KindPrefix,
-                 std::vector<OracleFinding> &Findings) {
-  auto W = solverFields(Want);
-  auto G = solverFields(Got);
-  for (std::size_t F = 0; F != W.size(); ++F) {
-    const auto &[Name, WantV] = W[F];
-    const auto *GotV = G[F].second;
-    if (WantV->size() != GotV->size()) {
-      Findings.push_back({KindPrefix + "." + Name, "node count mismatch"});
-      continue;
-    }
-    for (std::size_t N = 0; N != WantV->size(); ++N)
-      if (!((*WantV)[N] == (*GotV)[N])) {
-        Findings.push_back({KindPrefix + "." + Name,
-                            "first divergence at node " + itostr(
-                                static_cast<long long>(N))});
-        break;
-      }
-  }
-}
-
 /// The simulator bindings every input executes under. Fixed, so replay
 /// and minimization re-check the exact same traces.
 std::vector<SimConfig> simConfigs() {
@@ -177,25 +143,7 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
   Out.Features = coverageFeatures(*R.Prog, *R.Ifg, Out.UniverseSize);
   Out.CoverageKey = Out.Features.key();
 
-  // Layer 3: artifact-level differential — the classic re-solve of the
-  // oriented problems must match the arena solve on all 20 dataflow
-  // variables.
-  if (Opts.Differential) {
-    auto DiffRun = [&](const std::optional<GntRun> &Run,
-                       const char *Problem) {
-      if (!Run)
-        return;
-      GntResult Classic =
-          solveGiveNTakeClassic(Run->OrientedIfg, Run->OrientedProblem);
-      diffResults(Classic, Run->Result,
-                  std::string("differential.classic.") + Problem,
-                  Out.Findings);
-    };
-    DiffRun(R.Plan->ReadRun, "READ");
-    DiffRun(R.Plan->WriteRun, "WRITE");
-  }
-
-  // Layer 4: incremental differential. The stage cache is warm with the
+  // Layer 3: incremental differential. The stage cache is warm with the
   // input's artifacts and solve memos; an edited variant compiled from
   // that history must be byte-identical to compiling it cold. The edit
   // is a deterministic mutator draw, so replay and minimization re-check
@@ -230,7 +178,7 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
     }
   }
 
-  // Layer 5: dynamic C1/C3 on concrete traces.
+  // Layer 4: dynamic C1/C3 on concrete traces.
   std::vector<SimStats> BaseStats;
   if (Opts.Simulate || Opts.Metamorphic)
     for (const SimConfig &C : simConfigs())
@@ -242,7 +190,7 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
             {"simulator.trace", "config " + itostr(static_cast<long long>(I)) +
                                     ": " + E});
 
-  // Layer 6: placement strategies. Only on inputs clean so far, for the
+  // Layer 5: placement strategies. Only on inputs clean so far, for the
   // same anti-cascade reason as the metamorphic layer: each non-balanced
   // strategy re-compiles the input through the audit stack and simulates
   // under the shared configs.
@@ -296,7 +244,7 @@ OracleOutcome gnt::fuzz::runOracle(const std::string &Source,
     }
   }
 
-  // Layer 7: metamorphic variants. Only on inputs that are clean so
+  // Layer 6: metamorphic variants. Only on inputs that are clean so
   // far — a real defect should surface as its primary class, not as a
   // cascade of derived mismatches.
   if (Opts.Metamorphic && Out.Findings.empty()) {

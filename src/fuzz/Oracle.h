@@ -12,27 +12,28 @@
 ///  2. audit gate — the production pipeline with the full static audit,
 ///     the independent C1/C3/O1 verifier and -Werror: any diagnostic on
 ///     a frontend-valid input is a finding;
-///  3. artifact differential — the classic per-equation evaluator
-///     re-solves the oriented READ/WRITE problems; all 20 dataflow
-///     variables must be byte-identical to the production arena solve
-///     (forEachGntField);
-///  4. incremental differential — a stage cache is primed with the
+///  3. incremental differential — a stage cache is primed with the
 ///     input, a deterministic mutator edit is compiled incrementally
 ///     from the warm cache, and its result signature and annotation
 ///     must be byte-identical to a cold compile of the edit;
-///  5. trace simulation — the annotated program executes under several
+///  4. trace simulation — the annotated program executes under several
 ///     (params, branch-seed) bindings; any dynamic C1/C3 violation is a
 ///     finding;
-///  6. strategy layer — the input re-compiles under every non-balanced
+///  5. strategy layer — the input re-compiles under every non-balanced
 ///     placement strategy (comm/Strategy.h): `lospre`, and
 ///     `speculative` fed a profile from a biased training execution of
 ///     the balanced plan. Each must pass the audit stack and simulate
 ///     without dynamic violations; on jump-free programs the
 ///     speculative plan must not execute more messages than balanced
 ///     under the profile-generating trajectory;
-///  7. metamorphic layer — each semantics-preserving transform from
+///  6. metamorphic layer — each semantics-preserving transform from
 ///     Metamorphic.h is applied and the variant's SimStats must match
 ///     the original under the transform's invariant mask.
+///
+/// The solver itself is checked in layer 2: the audit's DIFF check
+/// re-solves the READ/WRITE problems with the iterative reference
+/// solver and compares all 20 dataflow variables with the production
+/// arena solve.
 ///
 /// The oracle is deterministic: all internal randomness is seeded from
 /// a hash of the source, so a failing input re-fails identically during
@@ -53,7 +54,6 @@ namespace gnt::fuzz {
 
 struct OracleOptions {
   /// Layer toggles (all on by default).
-  bool Differential = true;
   bool Simulate = true;
   bool Metamorphic = true;
   /// Strategy layer: `lospre` and profile-fed `speculative` compiles of
@@ -69,7 +69,7 @@ struct OracleOptions {
 };
 
 struct OracleFinding {
-  /// Dot-separated failure class, e.g. "differential.classic.READ.GIVE"
+  /// Dot-separated failure class, e.g. "differential.incremental.signature"
   /// or "metamorphic.rename-items.Messages". The minimizer preserves
   /// the first two components while shrinking.
   std::string Kind;
@@ -102,7 +102,7 @@ OracleOutcome runOracle(const std::string &Source,
                         const OracleOptions &Opts = {});
 
 /// First two dot components of a finding kind — the class the minimizer
-/// must preserve ("differential.classic", "metamorphic.rename-items").
+/// must preserve ("differential.incremental", "metamorphic.rename-items").
 std::string findingClass(const std::string &Kind);
 
 } // namespace gnt::fuzz

@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "Battery.h"
 #include "TestUtil.h"
 
 #include "analysis/Auditor.h"
@@ -70,7 +71,7 @@ TEST(Auditor, AcceptsSolverOutputOnPaperFigures) {
       // Production liveness for EAGER and LAZY (plus anticipability on
       // jump-free graphs); C1/C3/O1 come from the verifier.
       EXPECT_GE(A.Stats.EngineSolves, 2u);
-      EXPECT_GE(A.Stats.ReferenceSweeps, 2u);
+      EXPECT_EQ(A.Stats.ReferenceSweeps, 2u);
     }
   }
 }
@@ -168,6 +169,44 @@ TEST(Auditor, PassSelectionIsHonored) {
   EXPECT_TRUE(A.ok()) << "differential pass ran although disabled:\n"
                       << errors(A);
   EXPECT_EQ(A.Stats.ReferenceSweeps, 0u);
+}
+
+/// The DIFF check's reference solve costs two sweeps at any program
+/// size: in Figure 15 order sweep 1 reaches the fixed point and sweep 2
+/// verifies it, so the audit stays O(E). Counts only, no timing: every
+/// generator bucket at 200 statements (seeds 1-2) and the flat bucket at
+/// 1,600 statements, audited in comm mode (READ and WRITE) and in PRE
+/// mode. Evaluating Eq. 9-10 at each child's own reverse-preorder slot
+/// instead moves GIVE_loc/STEAL_loc one sibling per sweep, hundreds of
+/// sweeps on the flat program.
+TEST(Auditor, ReferenceSolveTakesTwoSweepsAtAnySize) {
+  std::vector<BatteryProgram> Programs = generatedBattery(200, 2);
+  GenConfig Flat = genConfigForBucket(5, 7);
+  Flat.TargetStmts = 1600;
+  Programs.push_back({"b5.s1600.seed7", generateRandomProgram(Flat)});
+  for (const BatteryProgram &BP : Programs) {
+    CfgBuildResult CR = buildCfg(BP.Prog);
+    ASSERT_TRUE(CR.success()) << BP.Name;
+    auto IR = IntervalFlowGraph::build(CR.G);
+    ASSERT_TRUE(IR.success()) << BP.Name;
+    auto checkRun = [&](const GntRun &Run,
+                        const std::vector<std::string> &Names,
+                        const char *Problem) {
+      AuditResult A = auditGntRun(Run, Names);
+      EXPECT_TRUE(A.ok()) << Problem << " " << BP.Name << ":\n" << errors(A);
+      EXPECT_LE(A.Stats.ReferenceSweeps, 2u) << Problem << " " << BP.Name;
+    };
+
+    CommPlan Plan = generateComm(BP.Prog, CR.G, *IR.Ifg);
+    std::vector<std::string> Names = Plan.Refs.Items.names();
+    ASSERT_TRUE(Plan.ReadRun.has_value()) << BP.Name;
+    checkRun(*Plan.ReadRun, Names, "READ");
+    if (Plan.WriteRun)
+      checkRun(*Plan.WriteRun, Names, "WRITE");
+
+    ExprPreResult Pre = runExprPre(BP.Prog, CR.G, *IR.Ifg);
+    checkRun(Pre.Run, Pre.Exprs, "PRE");
+  }
 }
 
 TEST(Auditor, DiagnosticsCarryMachineReadableLocations) {

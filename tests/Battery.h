@@ -7,9 +7,10 @@
 /// \file
 /// The programs the linear-time front end (indexed STEAL_init
 /// construction, the union-find loop forest) is compared on against its
-/// all-pairs references: every genConfigForBucket family at a given
-/// size, and every tests/corpus and examples/fm program. Test targets
-/// that include this header define GNT_CORPUS_DIR and GNT_EXAMPLES_DIR.
+/// all-pairs references, and the audit's sweep count is pinned on:
+/// every genConfigForBucket family at a given size, and every
+/// tests/corpus and examples/fm program. Test targets that include this
+/// header define GNT_CORPUS_DIR and GNT_EXAMPLES_DIR.
 ///
 //===----------------------------------------------------------------------===//
 

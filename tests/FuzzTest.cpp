@@ -164,8 +164,8 @@ TEST(FuzzCoverage, FlagsAndKeyReflectStructure) {
 //===----------------------------------------------------------------------===//
 
 TEST(FuzzOracle, FindingClassKeepsTwoComponents) {
-  EXPECT_EQ(findingClass("differential.classic.READ.GIVE"),
-            "differential.classic");
+  EXPECT_EQ(findingClass("differential.incremental.signature"),
+            "differential.incremental");
   EXPECT_EQ(findingClass("simulator.trace"), "simulator.trace");
   EXPECT_EQ(findingClass("audit"), "audit");
 }
@@ -213,8 +213,8 @@ TEST(FuzzOracle, CatchesInjectedFusedSweepBug) {
   ScopedFaultInjection Inject;
   OracleOutcome O = runOracle(FaultTriggerSource);
   ASSERT_FALSE(O.Findings.empty());
-  // The audit's differential re-derivation sees the desync first; the
-  // artifact differential would catch it one layer later.
+  // The audit's DIFF check, a re-solve with the reference solver, sees
+  // the desync in the audit gate (layer 2).
   EXPECT_TRUE(findingClass(O.Findings.front().Kind) == "audit.error" ||
               findingClass(O.Findings.front().Kind).rfind(
                   "differential", 0) == 0)

@@ -15,6 +15,7 @@
 
 #include "TestUtil.h"
 
+#include "analysis/ReferenceSolver.h"
 #include "baseline/Baselines.h"
 #include "baseline/LazyCodeMotion.h"
 #include "comm/CommGen.h"
@@ -155,15 +156,16 @@ TEST_P(RandomPrograms, OptionCombinationsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, ::testing::Range(1u, 31u));
 
 //===----------------------------------------------------------------------===//
-// Lane independence and arena/classic differential
+// Lane independence and arena/reference differential
 //===----------------------------------------------------------------------===//
 //
 // 100 seeds x 2 goto probabilities = 200 random programs, each solved
 // for both problem directions (READ is BEFORE, WRITE is AFTER with jump
 // poisoning). Every GntResult field — the ten Figure 13 variables plus
 // both EAGER and LAZY placements — must be byte-identical between the
-// arena solver and the classic per-equation oracle, and the same holds
-// for synthetic universes of up to 1,100 bits over each seed's graph.
+// arena solver and the iterative reference solver, which must verify
+// its fixed point in two sweeps, and the same holds for synthetic
+// universes of up to 1,100 bits over each seed's graph.
 // Because every equation is a bitwise AND/OR/ANDNOT, an item's solution
 // is also a function of its own init column alone: a problem cut down
 // to any subset of the items (a shard of the universe) or to one
@@ -294,6 +296,18 @@ void expectResultsIdentical(const GntResult &Want, const GntResult &Got,
   }
 }
 
+/// Solves \p P over \p Ifg with the iterative reference solver, expects
+/// it to verify its fixed point in two sweeps, and expects \p Got to
+/// match its solution on every field.
+void expectReferenceMatches(const IntervalFlowGraph &Ifg,
+                            const GntProblem &P, const GntResult &Got,
+                            const char *Problem, const std::string &How) {
+  ReferenceResult Ref = solveGiveNTakeIterative(Ifg, P);
+  EXPECT_TRUE(Ref.Converged) << Problem << " (" << How << ")";
+  EXPECT_LE(Ref.Sweeps, 2u) << Problem << " (" << How << ")";
+  expectResultsIdentical(Ref.Result, Got, Problem, How);
+}
+
 } // namespace
 
 /// Solving any contiguous range of items on its own reproduces the
@@ -315,8 +329,9 @@ TEST_P(ShardInvariance, ShardedSolveMatchesSerial) {
   }
 }
 
-/// The fused arena evaluator agrees with the classic one-equation-at-a-
-/// time evaluator on every field.
+/// The fused arena evaluator agrees with the iterative reference solver
+/// on every field, and the reference verifies its fixed point in two
+/// sweeps. (The name is kept from an earlier oracle.)
 TEST_P(ShardInvariance, ArenaMatchesClassicOracle) {
   for (double GotoProb : {0.1, 0.0}) {
     auto B = buildProgram(makeProgram(GetParam(), 40, GotoProb));
@@ -325,11 +340,10 @@ TEST_P(ShardInvariance, ArenaMatchesClassicOracle) {
     for (const std::optional<GntRun> *Slot : {&Plan.ReadRun, &Plan.WriteRun}) {
       ASSERT_TRUE(Slot->has_value());
       const GntRun &Run = **Slot;
-      GntResult Classic =
-          solveGiveNTakeClassic(Run.OrientedIfg, Run.OrientedProblem);
       const char *Problem =
           Run.OrientedProblem.Dir == Direction::Before ? "READ" : "WRITE";
-      expectResultsIdentical(Classic, Run.Result, Problem,
+      expectReferenceMatches(Run.OrientedIfg, Run.OrientedProblem,
+                             Run.Result, Problem,
                              "goto=" + std::to_string(GotoProb));
     }
   }
@@ -403,9 +417,10 @@ GntProblem wideProblem(const GntProblem &Base, unsigned Universe,
 
 /// Wide universes over each seed's graph, BEFORE and AFTER: 1 to 1,100
 /// bits (one partial word up to 18 words, with word-multiple and
-/// one-past sizes), arena vs classic on all 20 fields. Arena rows are
+/// one-past sizes), arena vs reference on all 20 fields. Arena rows are
 /// packed, so a word loop that ran past its row would corrupt the
-/// neighbouring row and fail here.
+/// neighbouring row and fail here. (The name is kept from earlier
+/// solver variants.)
 TEST_P(ShardInvariance, KernelShardCompressStealGridMatchesClassic) {
   auto B = buildProgram(makeProgram(GetParam(), 40, 0.1));
   ASSERT_TRUE(B.has_value());
@@ -414,11 +429,9 @@ TEST_P(ShardInvariance, KernelShardCompressStealGridMatchesClassic) {
     for (unsigned Universe : {1u, 63u, 64u, 65u, 129u, 520u, 1100u}) {
       GntRun Run = orientGiveNTake(
           B->Ifg, wideProblem(*Base, Universe, GetParam() * 7919 + Universe));
-      GntResult Classic =
-          solveGiveNTakeClassic(Run.OrientedIfg, Run.OrientedProblem);
       GntResult Arena = solveGiveNTake(Run.OrientedIfg, Run.OrientedProblem);
-      expectResultsIdentical(
-          Classic, Arena,
+      expectReferenceMatches(
+          Run.OrientedIfg, Run.OrientedProblem, Arena,
           Base->Dir == Direction::Before ? "BEFORE" : "AFTER",
           "universe=" + std::to_string(Universe));
     }
