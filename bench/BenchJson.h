@@ -6,10 +6,10 @@
 //
 // A ConsoleReporter wrapper that additionally records every benchmark
 // run and writes a compact trajectory file to the working directory
-// when the process exits benchmarking. Both bench_solver_scaling
-// (BENCH_solver.json) and bench_pipeline_throughput
-// (BENCH_pipeline.json) emit the same schema, so local runs and the CI
-// artifact line up point for point:
+// when the process exits benchmarking. bench_solver_scaling
+// (BENCH_solver.json) and bench_placement_quality
+// (BENCH_placement_tournament.json) emit the same schema, so local runs
+// and the CI artifact line up point for point:
 //
 //   {"schema": "gnt-bench-v1",
 //    "benchmarks": [

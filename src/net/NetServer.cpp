@@ -7,7 +7,7 @@
 #include "net/NetServer.h"
 
 #include "net/Framing.h"
-#include "net/Prometheus.h"
+#include "support/Json.h"
 #include "support/Support.h"
 
 #include <arpa/inet.h>
@@ -205,11 +205,9 @@ void NetServer::join() {
   Joined = true;
 }
 
-std::string NetServer::renderMetricsText() {
-  ServiceMetrics Svc = Service.metricsSnapshot();
-  const DiskCache *Disk = Service.diskCache();
-  return renderPrometheus(Net, Svc, Disk ? &Disk->stats() : nullptr,
-                          Disk ? Disk->entries() : 0);
+MetricTable NetServer::metricTable() const {
+  return gnt::metricTable(Service.metricsSnapshot(), &Net,
+                          Service.diskCache());
 }
 
 //===----------------------------------------------------------------------===//
@@ -576,7 +574,7 @@ void NetServer::handleHttp(Conn &C) {
   const char *Status;
   const char *Type;
   if (Path == "/metrics") {
-    Body = renderMetricsText();
+    Body = renderPrometheus(metricTable());
     Status = "200 OK";
     Type = "text/plain; version=0.0.4; charset=utf-8";
   } else {

@@ -26,8 +26,9 @@
 /// closed only when resynchronization is impossible.
 ///
 /// The same port speaks just enough HTTP to serve Prometheus:
-/// `GET /metrics` returns the text exposition of every counter and
-/// latency summary (net/Prometheus.h).
+/// `GET /metrics` returns the text exposition of the metric table
+/// (service/Metrics.h): the socket counters kept here plus every
+/// service counter and latency summary.
 ///
 /// requestDrain() (async-signal-safe) starts a graceful shutdown: the
 /// listener closes, queued and in-flight jobs finish, response buffers
@@ -40,9 +41,9 @@
 #define GNT_NET_NETSERVER_H
 
 #include "net/AdmissionQueue.h"
-#include "net/NetMetrics.h"
 #include "net/TokenBucket.h"
 #include "service/BatchServer.h"
+#include "service/Metrics.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -109,8 +110,9 @@ public:
   BatchServer &service() { return Service; }
   const NetMetrics &metrics() const { return Net; }
 
-  /// Prometheus text snapshot (what GET /metrics serves).
-  std::string renderMetricsText();
+  /// Every counter of this server and its service (GET /metrics
+  /// serves its Prometheus rendering).
+  MetricTable metricTable() const;
 
 private:
   struct Conn;

@@ -7,6 +7,7 @@
 #include "service/BatchServer.h"
 
 #include "support/Hashing.h"
+#include "support/Json.h"
 #include "support/JsonParse.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
@@ -336,12 +337,7 @@ ServiceMetrics BatchServer::metricsSnapshot() const {
     std::lock_guard<std::mutex> Lock(MetricsMutex);
     M = Metrics;
   }
-  StageCacheStats S = Stages->statsSnapshot();
-  for (unsigned I = 0; I < NumCacheStages; ++I) {
-    M.StageHits[I] = S.Hits[I];
-    M.StageMisses[I] = S.Misses[I];
-  }
-  M.Incremental = S.Inc;
+  M.Stages = Stages->statsSnapshot();
   return M;
 }
 
@@ -415,8 +411,6 @@ std::string BatchServer::serve(const ServiceRequest &Req) {
 
 std::vector<std::string> BatchServer::run(
     const std::vector<std::string> &Lines) {
-  auto Start = std::chrono::steady_clock::now();
-
   // Decode up front (cheap, serial, deterministic ids), then fan the
   // compilations out. Responses land by request index, so output order
   // is input order no matter how the pool schedules.
@@ -470,15 +464,9 @@ std::vector<std::string> BatchServer::run(
     Pool.wait();
   }
 
-  auto End = std::chrono::steady_clock::now();
   std::vector<std::string> Responses;
   Responses.reserve(Slots.size());
   for (Slot &S : Slots)
     Responses.push_back(std::move(S.Response));
-  {
-    std::lock_guard<std::mutex> Lock(MetricsMutex);
-    Metrics.WallMicros +=
-        std::chrono::duration<double, std::micro>(End - Start).count();
-  }
   return Responses;
 }

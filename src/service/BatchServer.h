@@ -156,9 +156,9 @@ public:
   /// Locked copy of the metrics, safe to render while workers are
   /// still recording (the live /metrics endpoint needs this; the
   /// unlocked reference accessor is for quiescent shutdown reads).
-  /// Stage-cache hit/miss counters and the incremental solver totals
-  /// are merged into the copy — the raw metrics() reference carries
-  /// only the job/result-cache counters.
+  /// The stage cache's hit/miss counters and incremental solver totals
+  /// are assigned to the copy's Stages — the raw metrics() reference
+  /// carries only the job/result-cache counters.
   ServiceMetrics metricsSnapshot() const;
 
   /// Persists the disk cache index, if a disk cache is configured.

@@ -146,13 +146,6 @@ struct StageCacheStats {
   std::uint64_t misses(CacheStage S) const {
     return Misses[static_cast<unsigned>(S)];
   }
-
-  /// Hits / (hits + misses) for one stage, or 0 when the stage was
-  /// never probed.
-  double hitRate(CacheStage S) const {
-    std::uint64_t H = hits(S), M = misses(S);
-    return H + M == 0 ? 0.0 : static_cast<double>(H) / (H + M);
-  }
 };
 
 class StageCache {

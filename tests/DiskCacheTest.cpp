@@ -19,34 +19,21 @@
 #include "service/BatchServer.h"
 #include "service/DiskCache.h"
 
+#include "TestUtil.h"
+
 #include "gtest/gtest.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 using namespace gnt;
+using gnt::test::TempDir;
 namespace fs = std::filesystem;
 
 namespace {
-
-/// A unique scratch directory, removed on scope exit.
-struct TempDir {
-  TempDir() {
-    std::string Template = (fs::temp_directory_path() / "gnt-disk-XXXXXX");
-    std::vector<char> Buf(Template.begin(), Template.end());
-    Buf.push_back('\0');
-    Path = mkdtemp(Buf.data());
-  }
-  ~TempDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string Path;
-};
 
 /// The single .gc entry file in \p Dir (fails the test when there is
 /// not exactly one).

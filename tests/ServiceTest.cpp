@@ -225,7 +225,6 @@ TEST(BatchServer, RepeatedBatchHitsCache) {
 
   std::vector<std::string> Second = Server.run(Lines);
   EXPECT_EQ(Server.metrics().CacheHits, Lines.size());
-  EXPECT_GT(Server.metrics().cacheHitRate(), 0.0);
   ASSERT_EQ(First.size(), Second.size());
   for (size_t I = 0; I < First.size(); ++I)
     EXPECT_EQ(First[I], Second[I]);
@@ -295,35 +294,29 @@ TEST(BatchServer, MetricsRenderAndRoundTrip) {
   BatchServer Server(Config);
   Server.run(Lines);
   Server.run(Lines); // Second pass for cache hits.
+  EXPECT_GT(Server.metrics().JobLatency.count(), 0u);
 
-  const ServiceMetrics &M = Server.metrics();
-  EXPECT_EQ(M.Jobs, 12u);
-  EXPECT_GT(M.throughputJobsPerSec(), 0.0);
-  EXPECT_GT(M.JobLatency.count(), 0u);
+  MetricTable T = metricTable(Server.metricsSnapshot(), nullptr, nullptr);
+  EXPECT_NE(renderPrometheus(T).find("\ngntd_jobs_total 12\n"),
+            std::string::npos);
 
-  std::string Text = M.renderText();
-  EXPECT_NE(Text.find("jobs: 12"), std::string::npos);
-  EXPECT_NE(Text.find("hit rate"), std::string::npos);
-
-  JsonParseResult P = parseJson(M.renderJson());
+  JsonParseResult P = parseJson(renderJson(T));
   ASSERT_TRUE(P.success()) << P.Error;
-  EXPECT_EQ(P.Value.field("jobs")->I, 12);
-  const JsonValue *Cache = P.Value.field("cache");
-  ASSERT_NE(Cache, nullptr);
-  EXPECT_EQ(Cache->field("hits")->I, 6);
-  EXPECT_GT(Cache->field("hit_rate")->asDouble(), 0.0);
-  const JsonValue *Latency = P.Value.field("latency_micros");
-  ASSERT_NE(Latency, nullptr);
-  ASSERT_NE(Latency->field("job"), nullptr);
-  EXPECT_GT(Latency->field("job")->field("p99")->asDouble(), 0.0);
+  auto Value = [&P](const char *Series) {
+    const JsonValue *V = P.Value.field(Series);
+    return V ? V->asDouble() : -1.0;
+  };
+  EXPECT_EQ(Value("gntd_jobs_total"), 12.0);
+  EXPECT_EQ(Value("gntd_cache_hits_total{layer=\"memory\"}"), 6.0);
+  EXPECT_EQ(Value("gntd_cache_misses_total"), 6.0);
+  EXPECT_GT(Value("gntd_job_latency_microseconds{quantile=\"0.99\"}"), 0.0);
 }
 
 TEST(LatencyStats, OrderStatistics) {
   LatencyStats L;
   for (double V : {5.0, 1.0, 3.0, 2.0, 4.0})
     L.record(V);
-  EXPECT_EQ(L.min(), 1.0);
-  EXPECT_EQ(L.mean(), 3.0);
+  EXPECT_EQ(L.sum(), 15.0);
   EXPECT_EQ(L.percentile(50), 3.0);
   EXPECT_EQ(L.percentile(0), 1.0);
   EXPECT_EQ(L.percentile(100), 5.0);
@@ -333,15 +326,14 @@ TEST(LatencyStats, OrderStatistics) {
 
 TEST(LatencyStats, RetentionIsBounded) {
   // The smallest sample comes first, so it leaves the ring long before
-  // the end; count, mean and min must still cover every sample.
+  // the end; count and sum must still cover every sample.
   constexpr size_t N = 1000000;
   LatencyStats L;
   for (size_t I = 1; I <= N; ++I)
     L.record(static_cast<double>(I));
   EXPECT_LE(L.retained(), size_t(16384));
   EXPECT_EQ(L.count(), N);
-  EXPECT_EQ(L.min(), 1.0);
-  EXPECT_EQ(L.mean(), (static_cast<double>(N) + 1) / 2);
+  EXPECT_EQ(L.sum(), static_cast<double>(N) * (N + 1) / 2);
   // The quantiles see exactly the most recent window.
   EXPECT_EQ(L.percentile(0), static_cast<double>(N - L.retained() + 1));
   EXPECT_EQ(L.percentile(100), static_cast<double>(N));

@@ -21,32 +21,17 @@
 #include "service/Pipeline.h"
 #include "service/StageCache.h"
 
+#include "TestUtil.h"
+
 #include "gtest/gtest.h"
 
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 using namespace gnt;
-namespace fs = std::filesystem;
+using gnt::test::TempDir;
 
 namespace {
-
-/// A unique scratch directory, removed on scope exit.
-struct TempDir {
-  TempDir() {
-    std::string Template = (fs::temp_directory_path() / "gnt-stage-XXXXXX");
-    std::vector<char> Buf(Template.begin(), Template.end());
-    Buf.push_back('\0');
-    Path = mkdtemp(Buf.data());
-  }
-  ~TempDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string Path;
-};
 
 const char *kBase = "distribute x, y\n"
                     "array u, w\n"
@@ -101,8 +86,9 @@ std::uint64_t digestOf(const std::string &Source) {
 // Stage names and keys
 //===----------------------------------------------------------------------===//
 
-/// The stage names are metrics keys (text, JSON, Prometheus labels) —
-/// renaming one is a breaking change, so the exact strings are pinned.
+/// The stage names are the `stage` labels of the metric table's series
+/// (exposition and JSON) — renaming one is a breaking change, so the
+/// exact strings are pinned.
 TEST(StageCacheTest, StageNamesArePinned) {
   ASSERT_EQ(NumCacheStages, 5u);
   EXPECT_STREQ(cacheStageName(CacheStage::Parse), "parse");

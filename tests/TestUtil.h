@@ -14,7 +14,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <vector>
+
 namespace gnt::test {
+
+/// A unique scratch directory, removed on scope exit.
+struct TempDir {
+  TempDir() {
+    std::string Template =
+        std::filesystem::temp_directory_path() / "gnt-test-XXXXXX";
+    std::vector<char> Buf(Template.begin(), Template.end());
+    Buf.push_back('\0');
+    Path = mkdtemp(Buf.data());
+  }
+  ~TempDir() {
+    std::error_code Ec;
+    std::filesystem::remove_all(Path, Ec);
+  }
+  std::string Path;
+};
 
 /// The paper's Figure 11 program with concrete statements where the paper
 /// elides them. Parameters: x, y distributed; a, b local index arrays.

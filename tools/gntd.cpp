@@ -22,8 +22,10 @@
 // Both modes schedule jobs on a worker pool, serve repeats from a
 // content-hash LRU, and (with --disk-cache) layer a persistent
 // content-addressed result cache underneath that survives restarts.
-// On shutdown the service metrics are printed as text on stderr and,
-// with --metrics-json, as JSON to a file.
+// On shutdown the metric table (service/Metrics.h) is printed on
+// stderr in the same Prometheus exposition GET /metrics serves and,
+// with --metrics-json, written as one flat JSON object of the same
+// series.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,9 +93,11 @@ void usage(std::FILE *To) {
       "  --disk-cache-memo-bytes N  byte budget for persisted solve\n"
       "                       memos, evicted oldest-first (default\n"
       "                       67108864; 0 = uncapped)\n"
-      "  --metrics-json F     write service metrics as JSON to file F\n"
-      "                       (`-` appends to stdout after the responses)\n"
-      "  --quiet              suppress the text metrics summary on stderr\n"
+      "  --metrics-json F     write the metrics as one flat JSON object\n"
+      "                       {\"<series>\": value} to file F (`-` appends\n"
+      "                       to stdout after the responses)\n"
+      "  --quiet              suppress the shutdown metrics (Prometheus\n"
+      "                       text) on stderr\n"
       "  --help               print this help\n"
       "\n"
       "Socket mode:\n"
@@ -270,13 +274,13 @@ bool readLines(const std::string &File, std::vector<std::string> &Lines) {
   return true;
 }
 
-bool writeMetrics(const ServiceMetrics &M, const Options &O) {
+bool writeMetrics(const MetricTable &T, const Options &O) {
   if (!O.Quiet)
-    std::fputs(M.renderText().c_str(), stderr);
+    std::fputs(renderPrometheus(T).c_str(), stderr);
   if (O.MetricsJson.empty())
     return true;
   if (O.MetricsJson == "-") {
-    std::fputs(M.renderJson().c_str(), stdout);
+    std::fputs(renderJson(T).c_str(), stdout);
     std::fputc('\n', stdout);
     return true;
   }
@@ -285,7 +289,7 @@ bool writeMetrics(const ServiceMetrics &M, const Options &O) {
     std::fprintf(stderr, "gntd: cannot write %s\n", O.MetricsJson.c_str());
     return false;
   }
-  Out << M.renderJson() << "\n";
+  Out << renderJson(T) << "\n";
   return true;
 }
 
@@ -334,9 +338,11 @@ int runBatch(const Options &O, ServiceConfig Config) {
   }
   Server.flushDiskCache();
 
-  // Snapshot, not the raw reference: the snapshot merges the stage
+  // Snapshot, not the raw reference: the snapshot carries the stage
   // cache's per-stage hit/miss counters and incremental solver totals.
-  if (!writeMetrics(Server.metricsSnapshot(), O))
+  if (!writeMetrics(
+          metricTable(Server.metricsSnapshot(), nullptr, Server.diskCache()),
+          O))
     return 1;
   return 0;
 }
@@ -371,30 +377,7 @@ int runSocket(const Options &O, ServiceConfig Config) {
   Server.join();
   SignalServer = nullptr;
 
-  const NetMetrics &N = Server.metrics();
-  if (!O.Quiet) {
-    std::fprintf(stderr,
-                 "connections: %llu accepted, %llu closed\n"
-                 "frames: %llu in, %llu responses out\n"
-                 "shed: %llu (queue_full %llu, quota %llu, draining %llu)\n"
-                 "frame errors: %llu malformed, %llu oversized, %llu "
-                 "truncated\n"
-                 "queue peak: %llu\n",
-                 (unsigned long long)N.ConnectionsAccepted.load(),
-                 (unsigned long long)N.ConnectionsClosed.load(),
-                 (unsigned long long)N.Frames.load(),
-                 (unsigned long long)N.Responses.load(),
-                 (unsigned long long)N.shedTotal(),
-                 (unsigned long long)N.ShedQueueFull.load(),
-                 (unsigned long long)N.ShedQuota.load(),
-                 (unsigned long long)N.ShedDraining.load(),
-                 (unsigned long long)N.Malformed.load(),
-                 (unsigned long long)N.Oversized.load(),
-                 (unsigned long long)N.Truncated.load(),
-                 (unsigned long long)N.QueuePeak.load());
-  }
-  ServiceMetrics M = Server.service().metricsSnapshot();
-  if (!writeMetrics(M, O))
+  if (!writeMetrics(Server.metricTable(), O))
     return 1;
   return 0;
 }
