@@ -97,7 +97,7 @@ public:
 
 private:
   /// Union of \p Var over edges of the given types and direction.
-  BitVector joinOver(const std::vector<IfgEdge> &Edges, bool UseDst,
+  BitVector joinOver(std::span<const IfgEdge> Edges, bool UseDst,
                      const std::vector<BitVector> &Var,
                      std::initializer_list<EdgeType> Types) const {
     BitVector Acc(U);
@@ -112,7 +112,7 @@ private:
 
   /// Intersection of \p Var over edges of the given types and direction;
   /// bottom when there are none (Section 4's convention).
-  BitVector meetOver(const std::vector<IfgEdge> &Edges, bool UseDst,
+  BitVector meetOver(std::span<const IfgEdge> Edges, bool UseDst,
                      const std::vector<BitVector> &Var,
                      std::initializer_list<EdgeType> Types) const {
     BitVector Acc(U);

@@ -32,16 +32,6 @@ const char *gnt::commOpName(CommOpKind K) {
   gntUnreachable("covered switch");
 }
 
-namespace {
-
-/// Strips the per-occurrence suffix of volatile items for display.
-std::string displayKey(const Item &I) {
-  size_t Pos = I.Key.find('#');
-  return Pos == std::string::npos ? I.Key : I.Key.substr(0, Pos);
-}
-
-} // namespace
-
 void gnt::buildCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
                             const IntervalFlowGraph &Ifg,
                             const CommOptions &Opts, GntProblem &Read,
@@ -262,15 +252,22 @@ std::string CommPlan::annotate(const Program &P) const {
     auto It = Anchored.find({S, W});
     if (It == Anchored.end())
       return Lines;
+    Lines.reserve(It->second.size());
     for (const CommOp &Op : It->second) {
       const Item &I = Refs.Items.item(Op.Item);
-      std::string Name = commOpName(Op.Kind);
+      std::string &Line = Lines.emplace_back(commOpName(Op.Kind));
       bool IsWrite = Op.Kind == CommOpKind::WriteSend ||
                      Op.Kind == CommOpKind::WriteRecv ||
                      Op.Kind == CommOpKind::AtomicWrite;
-      if (IsWrite && I.ReductionOp)
-        Name += std::string("[") + I.ReductionOp + "]";
-      Lines.push_back(Name + "{" + displayKey(I) + "}");
+      if (IsWrite && I.ReductionOp) {
+        Line += '[';
+        Line += I.ReductionOp;
+        Line += ']';
+      }
+      // Volatile items display without their per-occurrence suffix.
+      Line += '{';
+      Line.append(I.Key, 0, I.Key.find('#'));
+      Line += '}';
     }
     return Lines;
   });

@@ -8,10 +8,11 @@
 /// The communication problem's dataflow universe: value-numbered array
 /// sections. An item is a distributed array together with a canonical
 /// regular section, e.g. `x(11:n+10)`, or a one-level indirect section,
-/// e.g. `x(a(1:n))`. References that canonicalize to the same key share
-/// one item — this is how `x(a(k))` for k=1..N and `x(a(l))` for l=1..N
-/// are "recognized as identical based on the subscript value numbers"
-/// (paper, Figure 2 caption).
+/// e.g. `x(a(1:n))`. References whose sections are structurally equal
+/// share one item — this is how `x(a(k))` for k=1..N and `x(a(l))` for
+/// l=1..N are "recognized as identical based on the subscript value
+/// numbers" (paper, Figure 2 caption). The printable key is rendered
+/// once per item, for display only.
 ///
 /// Subscripts that depend on a mutated scalar cannot be value-numbered
 /// soundly; such references get *volatile* items, unique per occurrence
@@ -25,9 +26,10 @@
 #include "ir/Affine.h"
 
 #include <cassert>
+#include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace gnt {
@@ -37,8 +39,9 @@ struct Item {
   /// The distributed array being communicated.
   std::string Array;
 
-  /// Canonical printable form, e.g. "x(11:n+10)" or "x(a(1:n))"; the
-  /// value number — items are deduplicated by this key.
+  /// Printable form, e.g. "x(11:n+10)" or "x(a(1:n))", with a "#N"
+  /// suffix for volatile items. Two non-volatile items have equal keys
+  /// exactly when ItemTable::intern merges them.
   std::string Key;
 
   /// Direct section of Array, or the section of the *indirection* array
@@ -63,6 +66,10 @@ struct Item {
 
   bool isIndirect() const { return !IndirectArray.empty(); }
 
+  /// Appends the key without its volatile suffix: "x(11:n+10)",
+  /// "x(a(1:n))" or "x(?)".
+  void appendStructure(std::string &Out) const;
+
   /// Number of array elements this item covers, under the given
   /// parameter bindings; falls back to \p DefaultSize when the bounds are
   /// not evaluable.
@@ -78,7 +85,9 @@ struct Item {
 class ItemTable {
 public:
   /// Returns the id for \p I, reusing an existing id when a non-volatile
-  /// item with the same key exists.
+  /// item with the same array, indirection array, bounds and (unless the
+  /// section is one element) stride exists. A new non-volatile item gets
+  /// its Key rendered here; a volatile one must arrive with its Key set.
   unsigned intern(Item I);
 
   unsigned size() const { return static_cast<unsigned>(Items.size()); }
@@ -101,8 +110,10 @@ public:
 
 private:
   std::vector<Item> Items;
-  std::map<std::string, unsigned> ByKey;
-  std::set<unsigned> SeenDef;
+  /// Non-volatile item ids by structural hash.
+  std::unordered_multimap<std::uint64_t, unsigned> ByStructure;
+  /// One char per item: nonzero once a definition has been noted.
+  std::vector<char> SeenDef;
 };
 
 } // namespace gnt

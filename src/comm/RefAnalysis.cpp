@@ -6,9 +6,9 @@
 
 #include "comm/RefAnalysis.h"
 
-#include "ir/AstPrinter.h"
 #include "support/Support.h"
 
+#include <algorithm>
 #include <set>
 
 using namespace gnt;
@@ -96,66 +96,56 @@ private:
     }
     long long Stride = 1;
     if (VaryingIndices == 1 && StrideCoeff != 0)
-      Stride = StrideCoeff > 0 ? StrideCoeff : -StrideCoeff;
-    if (!Lo.isAffine() || !Hi.isAffine())
+      Stride = StrideCoeff;
+    if (!Lo.isAffine() || !Hi.isAffine() ||
+        (Stride < 0 && __builtin_sub_overflow(0, Stride, &Stride)))
       return Section::unknown();
     // Any remaining mutated symbol makes the value number unstable.
     for (const AffineExpr *E : {&Lo, &Hi})
       for (const auto &[Sym, C] : E->getTerms())
         if (C != 0 && Mutated.count(Sym))
           UsesMutated = true;
-    return Section(Lo, Hi, Stride);
+    return Section(std::move(Lo), std::move(Hi), Stride);
   }
 
   void recordDependsOn(Item &I, const Section &S) const {
-    std::set<std::string> Syms;
     for (const AffineExpr *E : {&S.Lo, &S.Hi})
-      if (E->isAffine())
-        for (const auto &[Sym, C] : E->getTerms())
-          if (C != 0)
-            Syms.insert(Sym);
-    I.DependsOn.assign(Syms.begin(), Syms.end());
+      for (const auto &Term : E->getTerms())
+        I.DependsOn.push_back(Term.first);
+    std::sort(I.DependsOn.begin(), I.DependsOn.end());
+    I.DependsOn.erase(std::unique(I.DependsOn.begin(), I.DependsOn.end()),
+                      I.DependsOn.end());
   }
 
   /// Builds the item for a reference `Array(Sub)` in the current loop
-  /// context.
+  /// context. Only volatile items get their Key here, numbered per
+  /// occurrence; ItemTable::intern renders the others.
   Item makeItem(const std::string &Array, const Expr *Sub) {
     Item I;
     I.Array = Array;
+    I.Sec = Section::unknown();
+    I.Volatile = true;
 
+    // A direct affine subscript, or one-level indirect x(a(affine)).
+    // Anything deeper or non-affine stays opaque, unique per occurrence.
     AffineExpr A = AffineExpr::fromExpr(Sub);
+    if (!A.isAffine())
+      if (const auto *AR = dyn_cast<ArrayRefExpr>(Sub)) {
+        A = AffineExpr::fromExpr(AR->getSubscript());
+        if (A.isAffine())
+          I.IndirectArray = AR->getArray();
+      }
     if (A.isAffine()) {
       bool UsesMutated = false;
       I.Sec = expandAffine(A, UsesMutated);
       I.Volatile = UsesMutated || !I.Sec.isKnown();
       recordDependsOn(I, I.Sec);
-      I.Key = Array + I.Sec.toString();
-      if (I.Volatile)
-        I.Key += "#" + itostr(VolatileCounter++);
-      return I;
     }
-
-    // One-level indirect reference x(a(affine)).
-    if (const auto *AR = dyn_cast<ArrayRefExpr>(Sub)) {
-      AffineExpr Inner = AffineExpr::fromExpr(AR->getSubscript());
-      if (Inner.isAffine()) {
-        bool UsesMutated = false;
-        Section InnerSec = expandAffine(Inner, UsesMutated);
-        I.IndirectArray = AR->getArray();
-        I.Sec = InnerSec;
-        I.Volatile = UsesMutated || !InnerSec.isKnown();
-        recordDependsOn(I, InnerSec);
-        I.Key = Array + "(" + AR->getArray() + InnerSec.toString() + ")";
-        if (I.Volatile)
-          I.Key += "#" + itostr(VolatileCounter++);
-        return I;
-      }
+    if (I.Volatile) {
+      I.appendStructure(I.Key);
+      I.Key += '#';
+      appendInt(I.Key, VolatileCounter++);
     }
-
-    // Anything deeper or non-affine: opaque, unique per occurrence.
-    I.Sec = Section::unknown();
-    I.Volatile = true;
-    I.Key = Array + "(?)#" + itostr(VolatileCounter++);
     return I;
   }
 
@@ -182,15 +172,52 @@ private:
     default:
       return 0;
     }
-    std::string LhsText = AstPrinter::printExpr(LHS);
     for (const Expr *Side : {B->getLHS(), B->getRHS()}) {
-      const auto *AR = dyn_cast<ArrayRefExpr>(Side);
-      if (AR && AstPrinter::printExpr(AR) == LhsText) {
+      if (sameExpr(Side, LHS)) {
         SelfRef = Side;
         return Op;
       }
     }
     return 0;
+  }
+
+  /// True when \p A and \p B are the same expression tree, i.e. they
+  /// print the same.
+  static bool sameExpr(const Expr *A, const Expr *B) {
+    if (A->getKind() != B->getKind())
+      return false;
+    switch (A->getKind()) {
+    case Expr::Kind::IntLit:
+      return cast<IntLitExpr>(A)->getValue() ==
+             cast<IntLitExpr>(B)->getValue();
+    case Expr::Kind::Var:
+      return cast<VarExpr>(A)->getName() == cast<VarExpr>(B)->getName();
+    case Expr::Kind::ArrayRef: {
+      const auto *L = cast<ArrayRefExpr>(A), *R = cast<ArrayRefExpr>(B);
+      return L->getArray() == R->getArray() &&
+             sameExpr(L->getSubscript(), R->getSubscript());
+    }
+    case Expr::Kind::Unary:
+      return sameExpr(cast<UnaryExpr>(A)->getOperand(),
+                      cast<UnaryExpr>(B)->getOperand());
+    case Expr::Kind::Binary: {
+      const auto *L = cast<BinaryExpr>(A), *R = cast<BinaryExpr>(B);
+      return L->getOp() == R->getOp() && sameExpr(L->getLHS(), R->getLHS()) &&
+             sameExpr(L->getRHS(), R->getRHS());
+    }
+    case Expr::Kind::Call: {
+      const auto &LA = cast<CallExpr>(A)->getArgs();
+      const auto &RA = cast<CallExpr>(B)->getArgs();
+      if (cast<CallExpr>(A)->getCallee() != cast<CallExpr>(B)->getCallee() ||
+          LA.size() != RA.size())
+        return false;
+      for (size_t I = 0; I != LA.size(); ++I)
+        if (!sameExpr(LA[I].get(), RA[I].get()))
+          return false;
+      return true;
+    }
+    }
+    gntUnreachable("covered switch");
   }
 
   /// scanUses, but ignores the subtree rooted at \p Skip (the reduction
@@ -273,9 +300,9 @@ private:
         if (const auto *LHS = dyn_cast<ArrayRefExpr>(A->getLHS())) {
           scanUses(LHS->getSubscript(), N);
           Item D = makeItem(LHS->getArray(), LHS->getSubscript());
-          RawDef Raw{LHS->getArray(), D.Sec, D.Volatile || D.isIndirect(),
-                     ReduceOp != 0};
-          R.ArrayDefs[N].push_back(Raw);
+          R.ArrayDefs[N].push_back({LHS->getArray(), D.Sec,
+                                    D.Volatile || D.isIndirect(),
+                                    ReduceOp != 0});
           if (P.isDistributed(LHS->getArray())) {
             unsigned Id = R.Items.intern(std::move(D));
             R.Items.noteDefinitionKind(Id, ReduceOp);

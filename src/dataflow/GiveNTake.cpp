@@ -668,8 +668,7 @@ GntResult exportArena(std::shared_ptr<DataflowMatrix> M, unsigned NumNodes) {
   forEachGntField(R, [&](const char *, std::vector<BitVector> &V) {
     V.reserve(NumNodes);
     for (unsigned Id = 0; Id != NumNodes; ++Id)
-      V.push_back(
-          BitVector::borrowWords(M->row(Field * NumNodes + Id), Bits));
+      V.emplace_back(BitVector::Borrow, M->row(Field * NumNodes + Id), Bits);
     ++Field;
   });
   assert(Field == NumArenaFields && "field enumeration out of sync");

@@ -63,11 +63,11 @@ std::uint64_t gnt::gntStructureDigest(const IntervalFlowGraph &Ifg,
     H = mixU64(H, Ifg.lastChild(Id));
     H = mixU64(H, Ifg.headerOf(Id));
     H = mixU64(H, Ifg.level(Id));
-    const std::vector<NodeId> &Kids = Ifg.children(Id);
+    std::span<const NodeId> Kids = Ifg.children(Id);
     H = mixU64(H, Kids.size());
     for (NodeId C : Kids)
       H = mixU64(H, C);
-    const std::vector<IfgEdge> &Succs = Ifg.succs(Id);
+    std::span<const IfgEdge> Succs = Ifg.succs(Id);
     H = mixU64(H, Succs.size());
     for (const IfgEdge &E : Succs) {
       H = mixU64(H, E.Dst);

@@ -79,10 +79,17 @@ std::vector<Token> gnt::lex(const std::string &Source,
     }
     if (std::isdigit(static_cast<unsigned char>(C))) {
       long long V = 0;
+      bool InRange = true;
       size_t Start = I;
       while (I < E && std::isdigit(static_cast<unsigned char>(Source[I]))) {
-        V = V * 10 + (Source[I] - '0');
+        InRange = InRange && !__builtin_mul_overflow(V, 10, &V) &&
+                  !__builtin_add_overflow(V, Source[I] - '0', &V);
         ++I;
+      }
+      if (!InRange) {
+        Errors.push_back("line " + itostr(Line) +
+                         ": integer literal out of range");
+        V = 0; // Parsing goes on over a placeholder without new errors.
       }
       Col += static_cast<unsigned>(I - Start);
       push(Token::Kind::Number, TokCol)->Value = V;

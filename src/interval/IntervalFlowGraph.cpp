@@ -10,7 +10,7 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
 #include <set>
 #include <sstream>
 
@@ -33,6 +33,22 @@ const char *gnt::edgeTypeName(EdgeType T) {
 }
 
 namespace {
+
+/// Groups \p Entries into \p N rows by \p Key (a stable counting sort):
+/// each row keeps its entries' order in \p Entries.
+template <typename T, typename KeyFn>
+void groupRows(unsigned N, const std::vector<T> &Entries, KeyFn Key,
+               std::vector<unsigned> &Offsets, std::vector<T> &Flat) {
+  Offsets.assign(N + 1, 0);
+  for (const T &E : Entries)
+    ++Offsets[Key(E) + 1];
+  for (unsigned I = 0; I != N; ++I)
+    Offsets[I + 1] += Offsets[I];
+  Flat.resize(Entries.size());
+  std::vector<unsigned> Next(Offsets.begin(), Offsets.end() - 1);
+  for (const T &E : Entries)
+    Flat[Next[Key(E)]++] = E;
+}
 
 /// Replaces the CFG edge From->To with From->Mid (keeping the successor
 /// slot, so branch arms retain their meaning) without adding Mid->To.
@@ -151,9 +167,6 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
   Ifg.Parent.resize(N);
   Ifg.LastChild.assign(N, InvalidNode);
   Ifg.HeaderOf.assign(N, InvalidNode);
-  Ifg.Children.resize(N);
-  Ifg.Succs.resize(N);
-  Ifg.Preds.resize(N);
 
   for (NodeId Node = 0; Node != N; ++Node) {
     Ifg.Level[Node] = Forest->level(Node);
@@ -165,7 +178,7 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
   };
 
   // Classify every CFG edge (Section 3.3).
-  std::set<NodeId> Poisoned;
+  std::vector<IfgEdge> Edges;
   std::vector<IfgEdge> JumpEdges;
   for (NodeId M = 0; M != N; ++M) {
     for (NodeId Node : G.node(M).Succs) {
@@ -195,63 +208,79 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
         T = EdgeType::Jump;
         JumpEdges.push_back({M, Node, EdgeType::Jump});
       }
-      Ifg.addEdge(M, Node, T);
+      Edges.push_back({M, Node, T});
     }
   }
   Ifg.LastChild[Ifg.Root] = G.exit();
 
   // SYNTHETIC edges: one per interval a JUMP edge leaves, from that
   // interval's header to the jump sink (Section 3.3).
+  std::set<NodeId> Poisoned;
   for (const IfgEdge &J : JumpEdges) {
     NodeId H = Ifg.Parent[J.Src];
     assert(Ifg.Level[J.Src] > Ifg.Level[J.Dst] && "jump must leave a loop");
     while (H != InvalidNode && H != Ifg.Parent[J.Dst]) {
-      Ifg.addEdge(H, J.Dst, EdgeType::Synthetic);
+      Edges.push_back({H, J.Dst, EdgeType::Synthetic});
       Poisoned.insert(H);
       H = Ifg.Parent[H];
     }
   }
   Ifg.PoisonedHeaders.assign(Poisoned.begin(), Poisoned.end());
+  Ifg.setEdges(Edges);
 
   // CHILDREN(h) in FORWARD order: Kahn's algorithm over the sibling DAG
-  // formed by FORWARD edges and same-level SYNTHETIC edges.
+  // formed by FORWARD edges and same-level SYNTHETIC edges, taking the
+  // smallest ready node first.
   {
-    std::vector<std::vector<NodeId>> Members(N);
+    std::vector<NodeId> NonRoot;
+    NonRoot.reserve(N);
     for (NodeId Node = 0; Node != N; ++Node)
       if (Node != Ifg.Root)
-        Members[Ifg.Parent[Node]].push_back(Node);
+        NonRoot.push_back(Node);
+    std::vector<unsigned> MemberOff;
+    std::vector<NodeId> Members;
+    groupRows(N, NonRoot, [&](NodeId Node) { return Ifg.Parent[Node]; },
+              MemberOff, Members);
 
+    auto isSiblingEdge = [&](const IfgEdge &E) {
+      return (E.Type == EdgeType::Forward || E.Type == EdgeType::Synthetic) &&
+             Ifg.Parent[E.Src] == Ifg.Parent[E.Dst];
+    };
     std::vector<unsigned> Indeg(N, 0);
-    for (NodeId M = 0; M != N; ++M)
-      for (const IfgEdge &E : Ifg.Succs[M])
-        if ((E.Type == EdgeType::Forward || E.Type == EdgeType::Synthetic) &&
-            Ifg.Parent[E.Src] == Ifg.Parent[E.Dst])
-          ++Indeg[E.Dst];
+    for (const IfgEdge &E : Edges)
+      if (isSiblingEdge(E))
+        ++Indeg[E.Dst];
 
+    std::vector<NodeId> &Order = Ifg.Children.Flat;
+    Order.reserve(Members.size());
+    Ifg.Children.Offsets.assign(N + 1, 0);
+    std::vector<NodeId> Ready; // A min-heap.
+    auto ready = [&](NodeId C) {
+      Ready.push_back(C);
+      std::push_heap(Ready.begin(), Ready.end(), std::greater<NodeId>());
+    };
     for (NodeId H = 0; H != N; ++H) {
-      if (Members[H].empty())
-        continue;
-      std::set<NodeId> Ready;
-      for (NodeId C : Members[H])
-        if (Indeg[C] == 0)
-          Ready.insert(C);
-      std::vector<NodeId> &Order = Ifg.Children[H];
+      Ifg.Children.Offsets[H] = static_cast<unsigned>(Order.size());
+      for (unsigned I = MemberOff[H]; I != MemberOff[H + 1]; ++I)
+        if (Indeg[Members[I]] == 0)
+          ready(Members[I]);
       while (!Ready.empty()) {
-        NodeId C = *Ready.begin();
-        Ready.erase(Ready.begin());
+        std::pop_heap(Ready.begin(), Ready.end(), std::greater<NodeId>());
+        NodeId C = Ready.back();
+        Ready.pop_back();
         Order.push_back(C);
-        for (const IfgEdge &E : Ifg.Succs[C])
-          if ((E.Type == EdgeType::Forward ||
-               E.Type == EdgeType::Synthetic) &&
-              Ifg.Parent[E.Dst] == H && --Indeg[E.Dst] == 0)
-            Ready.insert(E.Dst);
+        for (const IfgEdge &E : Ifg.succs(C))
+          if (isSiblingEdge(E) && --Indeg[E.Dst] == 0)
+            ready(E.Dst);
       }
-      if (Order.size() != Members[H].size()) {
+      if (Order.size() - Ifg.Children.Offsets[H] !=
+          MemberOff[H + 1] - MemberOff[H]) {
         R.Errors.push_back("cyclic sibling order in interval of node " +
                            describeNode(G, H));
         return R;
       }
     }
+    Ifg.Children.Offsets[N] = static_cast<unsigned>(Order.size());
   }
 
   Ifg.computePreorder();
@@ -262,11 +291,10 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
     std::vector<unsigned> Pos(N, 0);
     for (unsigned I = 0; I != Ifg.Preorder.size(); ++I)
       Pos[Ifg.Preorder[I]] = I;
-    for (NodeId M = 0; M != N; ++M)
-      for (const IfgEdge &E : Ifg.Succs[M])
-        if (E.Type == EdgeType::Forward || E.Type == EdgeType::Jump ||
-            E.Type == EdgeType::Synthetic)
-          assert(Pos[E.Src] < Pos[E.Dst] && "preorder violates edge order");
+    for (const IfgEdge &E : Ifg.Succs.Flat)
+      if (E.Type == EdgeType::Forward || E.Type == EdgeType::Jump ||
+          E.Type == EdgeType::Synthetic)
+        assert(Pos[E.Src] < Pos[E.Dst] && "preorder violates edge order");
   }
 #endif
 
@@ -284,7 +312,7 @@ void IntervalFlowGraph::computePreorder() {
   Preorder.push_back(Root);
   while (!Stack.empty()) {
     auto &[Node, NextChild] = Stack.back();
-    const std::vector<NodeId> &Kids = Children[Node];
+    std::span<const NodeId> Kids = children(Node);
     if (NextChild < Kids.size()) {
       NodeId C = Kids[NextChild++];
       Preorder.push_back(C);
@@ -294,6 +322,14 @@ void IntervalFlowGraph::computePreorder() {
     Stack.pop_back();
   }
   assert(Preorder.size() == size() && "preorder missed nodes");
+}
+
+void IntervalFlowGraph::setEdges(const std::vector<IfgEdge> &Edges) {
+  unsigned N = size();
+  groupRows(N, Edges, [](const IfgEdge &E) { return E.Src; }, Succs.Offsets,
+            Succs.Flat);
+  groupRows(N, Edges, [](const IfgEdge &E) { return E.Dst; }, Preds.Offsets,
+            Preds.Flat);
 }
 
 IntervalFlowGraph IntervalFlowGraph::reversed() const {
@@ -306,30 +342,31 @@ IntervalFlowGraph IntervalFlowGraph::reversed() const {
   unsigned N = size();
   R.LastChild.assign(N, InvalidNode);
   R.HeaderOf.assign(N, InvalidNode);
-  R.Children.resize(N);
-  R.Succs.resize(N);
-  R.Preds.resize(N);
 
-  for (NodeId M = 0; M != N; ++M) {
-    for (const IfgEdge &E : Succs[M]) {
-      EdgeType T = E.Type;
-      if (T == EdgeType::Entry)
-        T = EdgeType::Cycle;
-      else if (T == EdgeType::Cycle)
-        T = EdgeType::Entry;
-      R.addEdge(E.Dst, E.Src, T);
-      if (T == EdgeType::Entry)
-        R.HeaderOf[E.Src] = E.Dst;
-      else if (T == EdgeType::Cycle)
-        R.LastChild[E.Src] = E.Dst;
-    }
+  // Every edge flips, with ENTRY and CYCLE swapped; the flipped edges
+  // keep the forward successor order.
+  std::vector<IfgEdge> Edges;
+  Edges.reserve(Succs.Flat.size());
+  for (const IfgEdge &E : Succs.Flat) {
+    EdgeType T = E.Type;
+    if (T == EdgeType::Entry)
+      T = EdgeType::Cycle;
+    else if (T == EdgeType::Cycle)
+      T = EdgeType::Entry;
+    Edges.push_back({E.Dst, E.Src, T});
+    if (T == EdgeType::Entry)
+      R.HeaderOf[E.Src] = E.Dst;
+    else if (T == EdgeType::Cycle)
+      R.LastChild[E.Src] = E.Dst;
   }
+  R.setEdges(Edges);
   // Note: ROOT's reversed CYCLE edge (and hence LASTCHILD) comes from the
   // old ROOT ENTRY edge automatically; the reversed ROOT has no ENTRY
   // edge, mirroring the forward graph's missing exit->ROOT cycle edge.
-  for (NodeId H = 0; H != N; ++H) {
-    R.Children[H].assign(Children[H].rbegin(), Children[H].rend());
-  }
+  R.Children = Children;
+  for (NodeId H = 0; H != N; ++H)
+    std::reverse(R.Children.Flat.begin() + R.Children.Offsets[H],
+                 R.Children.Flat.begin() + R.Children.Offsets[H + 1]);
   R.computePreorder();
   return R;
 }
@@ -344,7 +381,7 @@ std::string IntervalFlowGraph::describe(const Cfg &G) const {
         OS << " lastchild=" << LastChild[Node];
     }
     OS << "\n";
-    for (const IfgEdge &E : Succs[Node])
+    for (const IfgEdge &E : succs(Node))
       OS << "    -> " << E.Dst << " " << edgeTypeName(E.Type) << "\n";
   }
   return OS.str();

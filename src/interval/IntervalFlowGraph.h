@@ -23,6 +23,10 @@
 /// 3.4: a PREORDER numbering (FORWARD and DOWNWARD) and per-interval
 /// forward-ordered children lists.
 ///
+/// Successors, predecessors and children are stored as compressed rows
+/// (one offset array and one flat array each) and read as spans, so
+/// copying or reversing a graph is a few bulk copies.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GNT_INTERVAL_INTERVALFLOWGRAPH_H
@@ -31,6 +35,7 @@
 #include "cfg/Cfg.h"
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +69,7 @@ public:
   /// synthetic nodes). Fails on irreducible graphs.
   static BuildResult build(Cfg &G);
 
-  unsigned size() const { return static_cast<unsigned>(Succs.size()); }
+  unsigned size() const { return static_cast<unsigned>(Level.size()); }
   NodeId root() const { return Root; }
 
   /// Loop nesting level; LEVEL(ROOT) = 0.
@@ -75,7 +80,7 @@ public:
   NodeId parent(NodeId N) const { return Parent[N]; }
 
   /// True for loop headers and for ROOT.
-  bool isHeader(NodeId N) const { return !Children[N].empty() || N == Root; }
+  bool isHeader(NodeId N) const { return !children(N).empty() || N == Root; }
 
   /// LASTCHILD(h): the source of the unique CYCLE edge into \p H. For
   /// ROOT (which has no CYCLE edge) this is the program exit node.
@@ -85,10 +90,12 @@ public:
   NodeId headerOf(NodeId N) const { return HeaderOf[N]; }
 
   /// CHILDREN(h) in FORWARD order (per-interval topological order).
-  const std::vector<NodeId> &children(NodeId H) const { return Children[H]; }
+  std::span<const NodeId> children(NodeId H) const { return Children.row(H); }
 
-  const std::vector<IfgEdge> &succs(NodeId N) const { return Succs[N]; }
-  const std::vector<IfgEdge> &preds(NodeId N) const { return Preds[N]; }
+  /// Outgoing edges of \p N, in insertion order.
+  std::span<const IfgEdge> succs(NodeId N) const { return Succs.row(N); }
+  /// Incoming edges of \p N, in insertion order.
+  std::span<const IfgEdge> preds(NodeId N) const { return Preds.row(N); }
 
   /// Nodes in PREORDER (FORWARD and DOWNWARD); ROOT first.
   const std::vector<NodeId> &preorder() const { return Preorder; }
@@ -116,10 +123,19 @@ public:
   std::string describe(const Cfg &G) const;
 
 private:
-  void addEdge(NodeId Src, NodeId Dst, EdgeType Type) {
-    Succs[Src].push_back({Src, Dst, Type});
-    Preds[Dst].push_back({Src, Dst, Type});
-  }
+  /// Per-node rows: node n's entries are Flat[Offsets[n], Offsets[n+1]).
+  template <typename T> struct CompressedRows {
+    std::vector<unsigned> Offsets;
+    std::vector<T> Flat;
+
+    std::span<const T> row(NodeId N) const {
+      return {Flat.data() + Offsets[N], Flat.data() + Offsets[N + 1]};
+    }
+  };
+
+  /// Sets Succs and Preds from \p Edges, keeping their order within each
+  /// row.
+  void setEdges(const std::vector<IfgEdge> &Edges);
 
   void computePreorder();
 
@@ -129,9 +145,9 @@ private:
   std::vector<NodeId> Parent;
   std::vector<NodeId> LastChild;
   std::vector<NodeId> HeaderOf;
-  std::vector<std::vector<NodeId>> Children;
-  std::vector<std::vector<IfgEdge>> Succs;
-  std::vector<std::vector<IfgEdge>> Preds;
+  CompressedRows<NodeId> Children;
+  CompressedRows<IfgEdge> Succs;
+  CompressedRows<IfgEdge> Preds;
   std::vector<NodeId> Preorder;
   std::vector<NodeId> PoisonedHeaders;
 };

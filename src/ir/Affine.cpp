@@ -9,7 +9,7 @@
 #include "ir/Ast.h"
 #include "support/Support.h"
 
-#include <sstream>
+#include <charconv>
 
 using namespace gnt;
 
@@ -23,37 +23,49 @@ AffineExpr AffineExpr::constant(long long C) {
 AffineExpr AffineExpr::symbol(const std::string &Name) {
   AffineExpr E;
   E.Affine = true;
-  E.Terms[Name] = 1;
+  E.Terms.emplace_back(Name, 1);
   return E;
 }
 
-AffineExpr AffineExpr::operator+(const AffineExpr &RHS) const {
+AffineExpr AffineExpr::addScaled(const AffineExpr &RHS, long long K,
+                                 const std::string *Drop) const {
   if (!Affine || !RHS.Affine)
     return AffineExpr();
-  AffineExpr R = *this;
-  R.Const += RHS.Const;
-  for (const auto &[Sym, C] : RHS.Terms) {
-    long long NewC = R.coeffOf(Sym) + C;
-    if (NewC == 0)
-      R.Terms.erase(Sym);
-    else
-      R.Terms[Sym] = NewC;
+  AffineExpr R = constant(0);
+  long long C;
+  if (__builtin_mul_overflow(RHS.Const, K, &C) ||
+      __builtin_add_overflow(Const, C, &R.Const))
+    return AffineExpr();
+  R.Terms.reserve(Terms.size() + RHS.Terms.size());
+  auto L = Terms.begin(), LE = Terms.end();
+  auto Rt = RHS.Terms.begin(), RE = RHS.Terms.end();
+  while (L != LE || Rt != RE) {
+    bool FromL = Rt == RE || (L != LE && L->first <= Rt->first);
+    bool FromR = L == LE || (Rt != RE && Rt->first <= L->first);
+    const std::string &Sym = FromL ? L->first : Rt->first;
+    C = FromL && !(Drop && Sym == *Drop) ? L->second : 0;
+    long long Scaled;
+    if (FromR && (__builtin_mul_overflow(Rt->second, K, &Scaled) ||
+                  __builtin_add_overflow(C, Scaled, &C)))
+      return AffineExpr();
+    if (C != 0)
+      R.Terms.emplace_back(Sym, C);
+    L += FromL;
+    Rt += FromR;
   }
   return R;
 }
 
-AffineExpr AffineExpr::negate() const {
-  if (!Affine)
-    return AffineExpr();
-  AffineExpr R = *this;
-  R.Const = -R.Const;
-  for (auto &[Sym, C] : R.Terms)
-    C = -C;
-  return R;
+AffineExpr AffineExpr::operator+(const AffineExpr &RHS) const {
+  return addScaled(RHS, 1);
 }
 
 AffineExpr AffineExpr::operator-(const AffineExpr &RHS) const {
-  return *this + RHS.negate();
+  return addScaled(RHS, -1);
+}
+
+AffineExpr AffineExpr::negate() const {
+  return constant(0).addScaled(*this, -1);
 }
 
 AffineExpr AffineExpr::operator*(const AffineExpr &RHS) const {
@@ -73,9 +85,11 @@ AffineExpr AffineExpr::operator*(const AffineExpr &RHS) const {
   if (K == 0)
     return constant(0);
   AffineExpr R = *Other;
-  R.Const *= K;
+  if (__builtin_mul_overflow(R.Const, K, &R.Const))
+    return AffineExpr();
   for (auto &[Sym, C] : R.Terms)
-    C *= K;
+    if (__builtin_mul_overflow(C, K, &C))
+      return AffineExpr();
   return R;
 }
 
@@ -86,35 +100,17 @@ AffineExpr AffineExpr::substitute(const std::string &Sym,
   long long C = coeffOf(Sym);
   if (C == 0)
     return *this;
-  AffineExpr Without = *this;
-  Without.Terms.erase(Sym);
-  return Without + Repl * constant(C);
+  return addScaled(Repl, C, &Sym);
 }
 
 std::optional<long long> AffineExpr::differenceFrom(const AffineExpr &RHS) const {
-  if (!Affine || !RHS.Affine)
+  // `*this - RHS` is constant exactly when both term lists are equal,
+  // since neither holds a zero coefficient.
+  long long D;
+  if (!Affine || !RHS.Affine || Terms != RHS.Terms ||
+      __builtin_sub_overflow(Const, RHS.Const, &D))
     return std::nullopt;
-  // Walk both sorted term maps in step, keeping exactly the terms that
-  // `*this - RHS` would: a term of *this alone survives as is, a term of
-  // RHS alone survives negated unless its coefficient is zero, and a
-  // shared term survives unless the coefficients are equal.
-  auto L = Terms.begin(), LE = Terms.end();
-  auto R = RHS.Terms.begin(), RE = RHS.Terms.end();
-  while (L != LE || R != RE) {
-    if (R == RE || (L != LE && L->first < R->first))
-      return std::nullopt;
-    if (L == LE || R->first < L->first) {
-      if (R->second != 0)
-        return std::nullopt;
-      ++R;
-      continue;
-    }
-    if (L->second != R->second)
-      return std::nullopt;
-    ++L;
-    ++R;
-  }
-  return Const - RHS.Const;
+  return D;
 }
 
 bool AffineExpr::operator<(const AffineExpr &RHS) const {
@@ -125,34 +121,50 @@ bool AffineExpr::operator<(const AffineExpr &RHS) const {
   return Terms < RHS.Terms;
 }
 
-std::string AffineExpr::toString() const {
-  if (!Affine)
-    return "<nonaffine>";
-  std::ostringstream OS;
+namespace {
+
+/// Appends |V| in decimal; LLONG_MIN's magnitude is computed unsigned.
+void appendMagnitude(std::string &Out, long long V) {
+  unsigned long long M = static_cast<unsigned long long>(V);
+  if (V < 0)
+    M = 0 - M;
+  char Buf[24];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), M).ptr;
+  Out.append(Buf, End);
+}
+
+} // namespace
+
+void AffineExpr::appendTo(std::string &Out) const {
+  if (!Affine) {
+    Out += "<nonaffine>";
+    return;
+  }
   bool First = true;
   for (const auto &[Sym, C] : Terms) {
-    if (C == 0)
-      continue;
-    if (First) {
-      if (C == -1)
-        OS << '-';
-      else if (C != 1)
-        OS << C << '*';
-    } else {
-      OS << (C > 0 ? "+" : "-");
-      if (C != 1 && C != -1)
-        OS << (C > 0 ? C : -C) << '*';
+    if (C < 0)
+      Out += '-';
+    else if (!First)
+      Out += '+';
+    if (C != 1 && C != -1) {
+      appendMagnitude(Out, C);
+      Out += '*';
     }
-    OS << Sym;
+    Out += Sym;
     First = false;
   }
   if (First)
-    return itostr(Const);
-  if (Const > 0)
-    OS << '+' << Const;
-  else if (Const < 0)
-    OS << Const;
-  return OS.str();
+    appendInt(Out, Const);
+  else if (Const != 0) {
+    Out += Const > 0 ? '+' : '-';
+    appendMagnitude(Out, Const);
+  }
+}
+
+std::string AffineExpr::toString() const {
+  std::string R;
+  appendTo(R);
+  return R;
 }
 
 AffineExpr AffineExpr::fromExpr(const Expr *E) {
@@ -231,13 +243,26 @@ bool Section::operator<(const Section &RHS) const {
   return Stride < RHS.Stride;
 }
 
+void Section::appendTo(std::string &Out) const {
+  if (!isKnown()) {
+    Out += "(?)";
+    return;
+  }
+  Out += '(';
+  Lo.appendTo(Out);
+  if (!(Lo == Hi)) {
+    Out += ':';
+    Hi.appendTo(Out);
+    if (Stride != 1) {
+      Out += ':';
+      appendInt(Out, Stride);
+    }
+  }
+  Out += ')';
+}
+
 std::string Section::toString() const {
-  if (!isKnown())
-    return "(?)";
-  if (Lo == Hi)
-    return "(" + Lo.toString() + ")";
-  std::string R = "(" + Lo.toString() + ":" + Hi.toString();
-  if (Stride != 1)
-    R += ":" + itostr(Stride);
-  return R + ")";
+  std::string R;
+  appendTo(R);
+  return R;
 }

@@ -22,18 +22,25 @@
 #ifndef GNT_IR_AFFINE_H
 #define GNT_IR_AFFINE_H
 
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace gnt {
 
 class Expr;
 
 /// An affine expression: sum of coefficient*symbol terms plus a constant,
-/// or the distinguished non-affine value.
+/// or the distinguished non-affine value. Arithmetic whose result does
+/// not fit in a long long yields the non-affine value, which callers
+/// treat conservatively (an unknown section overlaps everything).
 class AffineExpr {
 public:
+  /// (symbol, coefficient) pairs sorted by symbol, with no zero
+  /// coefficient.
+  using TermList = std::vector<std::pair<std::string, long long>>;
+
   /// The non-affine ("don't know") value.
   AffineExpr() : Affine(false), Const(0) {}
 
@@ -59,14 +66,16 @@ public:
 
   /// Coefficient of \p Sym (0 if absent).
   long long coeffOf(const std::string &Sym) const {
-    auto It = Terms.find(Sym);
-    return It == Terms.end() ? 0 : It->second;
+    for (const auto &[Name, C] : Terms)
+      if (Name == Sym)
+        return C;
+    return 0;
   }
 
   /// True if \p Sym occurs with nonzero coefficient.
   bool usesSymbol(const std::string &Sym) const { return coeffOf(Sym) != 0; }
 
-  const std::map<std::string, long long> &getTerms() const { return Terms; }
+  const TermList &getTerms() const { return Terms; }
 
   AffineExpr operator+(const AffineExpr &RHS) const;
   AffineExpr operator-(const AffineExpr &RHS) const;
@@ -77,7 +86,8 @@ public:
   /// Replaces every occurrence of \p Sym with \p Repl.
   AffineExpr substitute(const std::string &Sym, const AffineExpr &Repl) const;
 
-  /// If (this - RHS) is a compile-time constant, returns it.
+  /// If (this - RHS) is a compile-time constant that fits in a long
+  /// long, returns it.
   std::optional<long long> differenceFrom(const AffineExpr &RHS) const;
 
   bool operator==(const AffineExpr &RHS) const {
@@ -86,12 +96,21 @@ public:
   bool operator!=(const AffineExpr &RHS) const { return !(*this == RHS); }
   bool operator<(const AffineExpr &RHS) const;
 
-  /// Renders e.g. "N+5", "2*i-1", "7", or "<nonaffine>".
+  /// Appends the rendering, e.g. "N+5", "2*i-1", "7", or "<nonaffine>",
+  /// to \p Out.
+  void appendTo(std::string &Out) const;
+
+  /// The rendering appendTo() produces.
   std::string toString() const;
 
 private:
+  /// this + K * RHS without this's \p Drop term (when set), merging the
+  /// two sorted term lists in one pass.
+  AffineExpr addScaled(const AffineExpr &RHS, long long K,
+                       const std::string *Drop = nullptr) const;
+
   bool Affine = true;
-  std::map<std::string, long long> Terms;
+  TermList Terms;
   long long Const = 0;
 };
 
@@ -130,7 +149,11 @@ struct Section {
   }
   bool operator<(const Section &RHS) const;
 
-  /// Renders "(lo:hi)" or "(e)" for single elements, Fortran style.
+  /// Appends "(lo:hi)", "(lo:hi:stride)" or "(e)" for single elements,
+  /// Fortran style, to \p Out.
+  void appendTo(std::string &Out) const;
+
+  /// The rendering appendTo() produces.
   std::string toString() const;
 };
 

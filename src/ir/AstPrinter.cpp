@@ -49,74 +49,121 @@ static unsigned binOpPrecedence(BinaryExpr::Op Op) {
   }
 }
 
-static std::string printExprPrec(const Expr *E, unsigned ParentPrec) {
+/// Appends \p E to \p Out, parenthesized when its operator binds more
+/// loosely than \p ParentPrec.
+static void appendExpr(std::string &Out, const Expr *E, unsigned ParentPrec) {
   switch (E->getKind()) {
   case Expr::Kind::IntLit:
-    return itostr(cast<IntLitExpr>(E)->getValue());
+    appendInt(Out, cast<IntLitExpr>(E)->getValue());
+    return;
   case Expr::Kind::Var:
-    return cast<VarExpr>(E)->getName();
+    Out += cast<VarExpr>(E)->getName();
+    return;
   case Expr::Kind::ArrayRef: {
     const auto *A = cast<ArrayRefExpr>(E);
-    return A->getArray() + "(" + printExprPrec(A->getSubscript(), 0) + ")";
+    Out += A->getArray();
+    Out += '(';
+    appendExpr(Out, A->getSubscript(), 0);
+    Out += ')';
+    return;
   }
   case Expr::Kind::Unary:
-    return "-" + printExprPrec(cast<UnaryExpr>(E)->getOperand(), 4);
+    Out += '-';
+    appendExpr(Out, cast<UnaryExpr>(E)->getOperand(), 4);
+    return;
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
     unsigned Prec = binOpPrecedence(B->getOp());
-    std::string S = printExprPrec(B->getLHS(), Prec) + " " +
-                    binOpSpelling(B->getOp()) + " " +
-                    printExprPrec(B->getRHS(), Prec + 1);
-    if (Prec < ParentPrec)
-      return "(" + S + ")";
-    return S;
+    bool Paren = Prec < ParentPrec;
+    if (Paren)
+      Out += '(';
+    appendExpr(Out, B->getLHS(), Prec);
+    Out += ' ';
+    Out += binOpSpelling(B->getOp());
+    Out += ' ';
+    appendExpr(Out, B->getRHS(), Prec + 1);
+    if (Paren)
+      Out += ')';
+    return;
   }
   case Expr::Kind::Call: {
     const auto *C = cast<CallExpr>(E);
-    std::vector<std::string> Args;
-    for (const ExprPtr &A : C->getArgs())
-      Args.push_back(printExprPrec(A.get(), 0));
-    return C->getCallee() + "(" + join(Args, ", ") + ")";
+    Out += C->getCallee();
+    Out += '(';
+    bool First = true;
+    for (const ExprPtr &A : C->getArgs()) {
+      if (!First)
+        Out += ", ";
+      First = false;
+      appendExpr(Out, A.get(), 0);
+    }
+    Out += ')';
+    return;
   }
   }
   gntUnreachable("covered switch");
 }
 
+/// Appends the two-space indentation of nesting level \p Level.
+static void appendIndent(std::string &Out, unsigned Level) {
+  Out.append(static_cast<size_t>(Level) * 2, ' ');
+}
+
 std::string AstPrinter::printExpr(const Expr *E) {
-  return printExprPrec(E, 0);
+  std::string Out;
+  appendExpr(Out, E, 0);
+  return Out;
 }
 
 void AstPrinter::emitAnnotations(const Stmt *S, EmitWhere W, unsigned Level,
                                  std::string &Out) const {
   if (!Ann)
     return;
-  for (const std::string &Line : Ann(S, W))
-    Out += indent(Level) + Line + "\n";
+  for (const std::string &Line : Ann(S, W)) {
+    appendIndent(Out, Level);
+    Out += Line;
+    Out += '\n';
+  }
 }
 
 void AstPrinter::printStmt(const Stmt *S, unsigned Level,
                            std::string &Out) const {
   emitAnnotations(S, EmitWhere::Before, Level, Out);
 
-  std::string LabelPrefix;
-  if (S->getLabel() != 0)
-    LabelPrefix = itostr(S->getLabel()) + " ";
+  // Indentation and the statement's label, if any.
+  auto head = [&] {
+    appendIndent(Out, Level);
+    if (S->getLabel() != 0) {
+      appendInt(Out, S->getLabel());
+      Out += ' ';
+    }
+  };
 
   switch (S->getKind()) {
   case Stmt::Kind::Assign: {
     const auto *A = cast<AssignStmt>(S);
-    Out += indent(Level) + LabelPrefix + printExpr(A->getLHS()) + " = " +
-           printExpr(A->getRHS()) + "\n";
+    head();
+    appendExpr(Out, A->getLHS(), 0);
+    Out += " = ";
+    appendExpr(Out, A->getRHS(), 0);
+    Out += '\n';
     break;
   }
   case Stmt::Kind::Do: {
     const auto *D = cast<DoStmt>(S);
-    Out += indent(Level) + LabelPrefix + "do " + D->getIndexVar() + " = " +
-           printExpr(D->getLo()) + ", " + printExpr(D->getHi()) + "\n";
+    head();
+    Out += "do ";
+    Out += D->getIndexVar();
+    Out += " = ";
+    appendExpr(Out, D->getLo(), 0);
+    Out += ", ";
+    appendExpr(Out, D->getHi(), 0);
+    Out += '\n';
     emitAnnotations(S, EmitWhere::BodyStart, Level + 1, Out);
     printStmts(D->getBody(), Level + 1, Out);
     emitAnnotations(S, EmitWhere::BodyEnd, Level + 1, Out);
-    Out += indent(Level) + "enddo\n";
+    appendIndent(Out, Level);
+    Out += "enddo\n";
     break;
   }
   case Stmt::Kind::If: {
@@ -134,14 +181,17 @@ void AstPrinter::printStmt(const Stmt *S, unsigned Level,
                     Ann(G, EmitWhere::Before).empty() &&
                     Ann(G, EmitWhere::After).empty();
     }
+    head();
+    Out += "if (";
+    appendExpr(Out, If->getCond(), 0);
     if (CompactGoto) {
       const auto *G = cast<GotoStmt>(If->getThen().front().get());
-      Out += indent(Level) + LabelPrefix + "if (" + printExpr(If->getCond()) +
-             ") goto " + itostr(G->getTarget()) + "\n";
+      Out += ") goto ";
+      appendInt(Out, G->getTarget());
+      Out += '\n';
       break;
     }
-    Out += indent(Level) + LabelPrefix + "if (" + printExpr(If->getCond()) +
-           ") then\n";
+    Out += ") then\n";
     emitAnnotations(S, EmitWhere::ThenEntry, Level + 1, Out);
     printStmts(If->getThen(), Level + 1, Out);
     emitAnnotations(S, EmitWhere::ThenExit, Level + 1, Out);
@@ -150,20 +200,25 @@ void AstPrinter::printStmt(const Stmt *S, unsigned Level,
       NeedElse = !Ann(S, EmitWhere::ElseEntry).empty() ||
                  !Ann(S, EmitWhere::ElseExit).empty();
     if (NeedElse) {
-      Out += indent(Level) + "else\n";
+      appendIndent(Out, Level);
+      Out += "else\n";
       emitAnnotations(S, EmitWhere::ElseEntry, Level + 1, Out);
       printStmts(If->getElse(), Level + 1, Out);
       emitAnnotations(S, EmitWhere::ElseExit, Level + 1, Out);
     }
-    Out += indent(Level) + "endif\n";
+    appendIndent(Out, Level);
+    Out += "endif\n";
     break;
   }
   case Stmt::Kind::Goto:
-    Out += indent(Level) + LabelPrefix + "goto " +
-           itostr(cast<GotoStmt>(S)->getTarget()) + "\n";
+    head();
+    Out += "goto ";
+    appendInt(Out, cast<GotoStmt>(S)->getTarget());
+    Out += '\n';
     break;
   case Stmt::Kind::Continue:
-    Out += indent(Level) + LabelPrefix + "continue\n";
+    head();
+    Out += "continue\n";
     break;
   }
 

@@ -239,12 +239,14 @@ std::string gnt::renderResultPayload(const PipelineResult &R) {
 
 std::string gnt::renderResponse(const std::string &Id,
                                 const std::string &Payload) {
-  JsonWriter W;
-  W.beginObject();
-  W.key("id").value(Id);
-  W.key("result").raw(Payload);
-  W.endObject();
-  return W.str();
+  std::string R;
+  R.reserve(Id.size() + Payload.size() + 20);
+  R += "{\"id\":\"";
+  appendJsonEscaped(R, Id);
+  R += "\",\"result\":";
+  R += Payload;
+  R += '}';
+  return R;
 }
 
 std::string gnt::renderErrorPayload(const std::string &Message) {

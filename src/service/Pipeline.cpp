@@ -55,16 +55,20 @@ std::string PipelineOptions::canonical() const {
   R += '\x1f'; // Unit separators: profile text is free-form.
   R += Profile;
   R += '\x1f';
-  R += ";atomic=" + itostr(Comm.Atomic);
-  R += ";owner_computes=" + itostr(Comm.OwnerComputes);
-  R += ";hoist_zero_trip=" + itostr(Comm.HoistZeroTrip);
-  R += ";reads=" + itostr(Comm.GenerateReads);
-  R += ";writes=" + itostr(Comm.GenerateWrites);
-  R += ";annotate=" + itostr(Annotate);
-  R += ";audit=" + itostr(Audit);
-  R += ";verify=" + itostr(Verify);
-  R += ";werror=" + itostr(Werror);
-  R += ";analyses=" + itostr(static_cast<long long>(ExtraAnalyses.size()));
+  auto field = [&R](const char *Name, long long Value) {
+    R += Name;
+    appendInt(R, Value);
+  };
+  field(";atomic=", Comm.Atomic);
+  field(";owner_computes=", Comm.OwnerComputes);
+  field(";hoist_zero_trip=", Comm.HoistZeroTrip);
+  field(";reads=", Comm.GenerateReads);
+  field(";writes=", Comm.GenerateWrites);
+  field(";annotate=", Annotate);
+  field(";audit=", Audit);
+  field(";verify=", Verify);
+  field(";werror=", Werror);
+  field(";analyses=", static_cast<long long>(ExtraAnalyses.size()));
   for (const std::string &A : ExtraAnalyses) {
     R += '\x1f'; // Unit separator: spec texts may contain ';' and '='.
     R += A;

@@ -235,11 +235,15 @@ std::string StageCache::solveOptionsKey(const PipelineOptions &Opts) {
   R += '\x1f'; // Unit separators: profile text is free-form.
   R += Opts.Profile;
   R += '\x1f';
-  R += ";atomic=" + itostr(Opts.Comm.Atomic);
-  R += ";owner_computes=" + itostr(Opts.Comm.OwnerComputes);
-  R += ";hoist_zero_trip=" + itostr(Opts.Comm.HoistZeroTrip);
-  R += ";reads=" + itostr(Opts.Comm.GenerateReads);
-  R += ";writes=" + itostr(Opts.Comm.GenerateWrites);
+  auto field = [&R](const char *Name, long long Value) {
+    R += Name;
+    appendInt(R, Value);
+  };
+  field(";atomic=", Opts.Comm.Atomic);
+  field(";owner_computes=", Opts.Comm.OwnerComputes);
+  field(";hoist_zero_trip=", Opts.Comm.HoistZeroTrip);
+  field(";reads=", Opts.Comm.GenerateReads);
+  field(";writes=", Opts.Comm.GenerateWrites);
   return R;
 }
 

@@ -12,20 +12,23 @@
 ///
 /// Storage is either owned (the default) or borrowed from an external
 /// word row (see borrowWords), which lets the arena-backed solver expose
-/// its rows as BitVectors without copying. Borrowing is invisible to
-/// users: copies always deep-copy into owned storage, comparisons and
-/// set algebra read through whichever storage is active, and resize()
-/// first materializes an owned copy. The borrower is responsible for
-/// keeping the external row alive and tail-masked.
+/// its rows as BitVectors without copying. Owned vectors of up to
+/// InlineWords words keep them inside the object, so the 1-3 word rows
+/// of realistic universes never allocate; larger ones use one heap
+/// block. Borrowing is invisible to users: copies always deep-copy into
+/// owned storage, comparisons and set algebra read through whichever
+/// storage is active, and resize() first materializes an owned copy.
+/// The borrower is responsible for keeping the external row alive and
+/// tail-masked.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GNT_SUPPORT_BITVECTOR_H
 #define GNT_SUPPORT_BITVECTOR_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 namespace gnt {
 
@@ -39,6 +42,9 @@ public:
   using Word = std::uint64_t;
   static constexpr unsigned WordBits = 64;
 
+  /// Words an owned vector stores inside the object.
+  static constexpr unsigned InlineWords = 3;
+
   BitVector() = default;
 
   /// Creates a vector of \p NumBits bits, all initialized to \p Value.
@@ -48,33 +54,37 @@ public:
 
   /// Deep copy: a copy always owns its words, even when the source
   /// borrows them.
-  BitVector(const BitVector &RHS)
-      : Owned(RHS.words(), RHS.words() + RHS.wordCount()), Ext(nullptr),
-        NumBits(RHS.NumBits) {}
+  BitVector(const BitVector &RHS) { assignWords(RHS.words(), RHS.NumBits); }
 
   BitVector &operator=(const BitVector &RHS) {
+    if (this != &RHS)
+      assignWords(RHS.words(), RHS.NumBits);
+    return *this;
+  }
+
+  /// Moves transfer storage as-is (a moved borrowed vector keeps
+  /// pointing at the same external row) and leave the source empty.
+  BitVector(BitVector &&RHS) noexcept { take(RHS); }
+
+  BitVector &operator=(BitVector &&RHS) noexcept {
     if (this != &RHS) {
-      Owned.assign(RHS.words(), RHS.words() + RHS.wordCount());
-      Ext = nullptr;
-      NumBits = RHS.NumBits;
+      release();
+      take(RHS);
     }
     return *this;
   }
 
-  /// Moves transfer storage as-is; a moved borrowed vector keeps
-  /// pointing at the same external row.
-  BitVector(BitVector &&) = default;
-  BitVector &operator=(BitVector &&) = default;
+  ~BitVector() {
+    if (OnHeap)
+      delete[] Data;
+  }
 
   /// Creates a vector of \p NumBits bits initialized from the packed
   /// words at \p Src (numWords(NumBits) of them). Bits of the last word
   /// beyond \p NumBits are ignored.
   static BitVector fromWords(const Word *Src, unsigned NumBits) {
-    // Single-write construction: assign copies the source words without
-    // the zero-fill a resize-then-overwrite would do.
     BitVector R;
-    R.Owned.assign(Src, Src + numWords(NumBits));
-    R.NumBits = NumBits;
+    R.assignWords(Src, NumBits);
     R.clearExcessBits();
     return R;
   }
@@ -86,24 +96,32 @@ public:
   /// Mutations write through to the row; copying the vector or calling
   /// resize() detaches into owned storage.
   static BitVector borrowWords(Word *Row, unsigned NumBits) {
-    BitVector R;
-    R.Ext = Row;
-    R.NumBits = NumBits;
-    return R;
+    return BitVector(Borrow, Row, NumBits);
   }
+
+  /// Selects the borrowing constructor.
+  struct BorrowTag {};
+  static constexpr BorrowTag Borrow{};
+
+  /// The vector borrowWords(\p Row, \p NumBits) returns, constructed in
+  /// place (e.g. by emplace_back) without a temporary to move from.
+  BitVector(BorrowTag, Word *Row, unsigned NumBits)
+      : Data(Row), NumBits(NumBits) {}
 
   /// Number of bits in the vector.
   unsigned size() const { return NumBits; }
 
   /// Grows or shrinks the vector to \p NewSize bits; new bits get \p Value.
   void resize(unsigned NewSize, bool Value = false) {
-    materialize();
-    unsigned OldSize = NumBits;
-    Owned.resize(numWords(NewSize), Value ? ~Word(0) : Word(0));
+    unsigned OldSize = NumBits, OldWords = wordCount();
+    unsigned NewWords = numWords(NewSize);
+    reserveOwned(NewWords);
+    if (NewWords > OldWords)
+      std::fill(Data + OldWords, Data + NewWords, Value ? ~Word(0) : Word(0));
     NumBits = NewSize;
     if (Value && OldSize < NewSize && OldSize % WordBits != 0) {
       // The old partial tail word must have its fresh high bits set.
-      Owned[OldSize / WordBits] |= ~Word(0) << (OldSize % WordBits);
+      Data[OldSize / WordBits] |= ~Word(0) << (OldSize % WordBits);
     }
     clearExcessBits();
   }
@@ -282,12 +300,12 @@ public:
 
   /// Read-only view of the packed words. Bits beyond size() in the last
   /// word are guaranteed zero (the tail-word invariant).
-  const Word *words() const { return Ext ? Ext : Owned.data(); }
+  const Word *words() const { return Data; }
 
   /// Mutable view of the packed words, for word-granular writers.
   /// Callers must keep the tail-word invariant: bits beyond size() stay
   /// zero. On a borrowed vector this is the external row itself.
-  Word *wordsData() { return Ext ? Ext : Owned.data(); }
+  Word *wordsData() { return Data; }
 
   /// Returns the word-aligned sub-vector of \p SliceBits bits starting
   /// at word \p FirstWord (bit FirstWord * 64). The slice's words must
@@ -303,12 +321,54 @@ private:
     return (Bits + WordBits - 1) / WordBits;
   }
 
-  /// Detaches a borrowed vector into owned storage.
-  void materialize() {
-    if (!Ext)
+  bool isBorrowed() const { return Data != Inline && !OnHeap; }
+
+  /// Words the owned storage can hold: a heap block holds at least the
+  /// current size.
+  unsigned capacity() const { return OnHeap ? wordCount() : InlineWords; }
+
+  /// Makes the storage owned with room for \p Words words, keeping the
+  /// first min(Words, wordCount()) of them. A borrowed row is copied,
+  /// never written.
+  void reserveOwned(unsigned Words) {
+    if (!isBorrowed() && Words <= capacity())
       return;
-    Owned.assign(Ext, Ext + wordCount());
-    Ext = nullptr;
+    Word *Old = Data;
+    bool OldOnHeap = OnHeap;
+    OnHeap = Words > InlineWords;
+    Data = OnHeap ? new Word[Words] : Inline;
+    std::copy_n(Old, std::min(Words, wordCount()), Data);
+    if (OldOnHeap)
+      delete[] Old;
+  }
+
+  /// Replaces the contents with the \p Bits bits packed at \p Src.
+  void assignWords(const Word *Src, unsigned Bits) {
+    reserveOwned(numWords(Bits));
+    std::copy_n(Src, numWords(Bits), Data);
+    NumBits = Bits;
+  }
+
+  /// Moves \p RHS's storage into this released vector and empties RHS.
+  void take(BitVector &RHS) {
+    NumBits = RHS.NumBits;
+    OnHeap = RHS.OnHeap;
+    if (RHS.Data == RHS.Inline)
+      std::copy_n(RHS.Inline, wordCount(), Inline);
+    else
+      Data = RHS.Data;
+    RHS.Data = RHS.Inline;
+    RHS.OnHeap = false;
+    RHS.NumBits = 0;
+  }
+
+  /// Frees a heap block, leaving an empty inline vector.
+  void release() {
+    if (OnHeap)
+      delete[] Data;
+    Data = Inline;
+    OnHeap = false;
+    NumBits = 0;
   }
 
   /// Bits beyond NumBits in the last word must stay zero so that count()
@@ -319,9 +379,12 @@ private:
           ~Word(0) >> (WordBits - NumBits % WordBits);
   }
 
-  std::vector<Word> Owned; ///< Owned storage; unused while borrowing.
-  Word *Ext = nullptr;     ///< Borrowed row; nullptr when owned.
+  /// Inline, the heap block or a borrowed external row.
+  Word *Data = Inline;
   unsigned NumBits = 0;
+  /// True when Data is a heap block this vector owns.
+  bool OnHeap = false;
+  Word Inline[InlineWords] = {};
 };
 
 /// Returns A | B as a new vector.

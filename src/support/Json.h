@@ -15,42 +15,51 @@
 #ifndef GNT_SUPPORT_JSON_H
 #define GNT_SUPPORT_JSON_H
 
-#include <sstream>
+#include "support/Support.h"
+
+#include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace gnt {
 
-/// Escapes \p S for inclusion inside a double-quoted JSON string.
-inline std::string jsonEscape(const std::string &S) {
-  std::string R;
-  R.reserve(S.size());
+/// Appends \p S to \p Out, escaped for inclusion inside a double-quoted
+/// JSON string.
+inline void appendJsonEscaped(std::string &Out, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '"':
-      R += "\\\"";
+      Out += "\\\"";
       break;
     case '\\':
-      R += "\\\\";
+      Out += "\\\\";
       break;
     case '\n':
-      R += "\\n";
+      Out += "\\n";
       break;
     case '\r':
-      R += "\\r";
+      Out += "\\r";
       break;
     case '\t':
-      R += "\\t";
+      Out += "\\t";
       break;
     default:
       if (static_cast<unsigned char>(C) < 0x20) {
         char Buf[8];
         std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        R += Buf;
+        Out += Buf;
       } else {
-        R += C;
+        Out += C;
       }
     }
   }
+}
+
+/// Escapes \p S for inclusion inside a double-quoted JSON string.
+inline std::string jsonEscape(std::string_view S) {
+  std::string R;
+  R.reserve(S.size());
+  appendJsonEscaped(R, S);
   return R;
 }
 
@@ -59,73 +68,80 @@ inline std::string jsonEscape(const std::string &S) {
 /// tracks comma placement only.
 class JsonWriter {
 public:
-  std::string str() const { return OS.str(); }
+  const std::string &str() const { return Out; }
 
   JsonWriter &beginObject() {
     sep();
-    OS << "{";
+    Out += '{';
     First = true;
     return *this;
   }
   JsonWriter &endObject() {
-    OS << "}";
+    Out += '}';
     First = false;
     return *this;
   }
-  JsonWriter &beginArray(const std::string &Key = "") {
+  JsonWriter &beginArray(std::string_view Key = {}) {
     sep();
     if (!Key.empty())
-      OS << "\"" << jsonEscape(Key) << "\":";
-    OS << "[";
+      quoted(Key) += ':';
+    Out += '[';
     First = true;
     return *this;
   }
   JsonWriter &endArray() {
-    OS << "]";
+    Out += ']';
     First = false;
     return *this;
   }
 
-  JsonWriter &key(const std::string &K) {
+  JsonWriter &key(std::string_view K) {
     sep();
-    OS << "\"" << jsonEscape(K) << "\":";
+    quoted(K) += ':';
     First = true; // The value that follows needs no comma.
     return *this;
   }
-  JsonWriter &value(const std::string &V) {
+  JsonWriter &value(std::string_view V) {
     sep();
-    OS << "\"" << jsonEscape(V) << "\"";
+    quoted(V);
     return *this;
   }
-  JsonWriter &value(const char *V) { return value(std::string(V)); }
+  JsonWriter &value(const char *V) { return value(std::string_view(V)); }
   JsonWriter &value(long long V) {
     sep();
-    OS << V;
+    appendInt(Out, V);
     return *this;
   }
   JsonWriter &value(unsigned V) { return value(static_cast<long long>(V)); }
   JsonWriter &value(bool V) {
     sep();
-    OS << (V ? "true" : "false");
+    Out += V ? "true" : "false";
     return *this;
   }
   /// Emits \p Token verbatim as a value: a pre-rendered number (doubles
   /// have no value() overload) or an embedded pre-rendered document.
   /// The caller guarantees the token is valid JSON.
-  JsonWriter &raw(const std::string &Token) {
+  JsonWriter &raw(std::string_view Token) {
     sep();
-    OS << Token;
+    Out += Token;
     return *this;
   }
 
 private:
   void sep() {
     if (!First)
-      OS << ",";
+      Out += ',';
     First = false;
   }
 
-  std::ostringstream OS;
+  std::string &quoted(std::string_view S) {
+    Out += '"';
+    appendJsonEscaped(Out, S);
+    Out += '"';
+    return Out;
+  }
+
+  std::string Out;
   bool First = true;
 };
 

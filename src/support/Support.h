@@ -6,16 +6,16 @@
 ///
 /// \file
 /// Small utilities shared across the library: unreachable marker, string
-/// joining, and indentation helpers used by the various printers.
+/// joining, and integer formatting used by the various printers.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GNT_SUPPORT_SUPPORT_H
 #define GNT_SUPPORT_SUPPORT_H
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,16 +40,19 @@ inline std::string join(const std::vector<std::string> &Parts,
   return R;
 }
 
-/// Returns \p Level * 2 spaces, used by the AST and annotation printers.
-inline std::string indent(unsigned Level) {
-  return std::string(static_cast<size_t>(Level) * 2, ' ');
+/// Appends the decimal form of \p V to \p Out. Independent of the
+/// global locale, so cache keys and JSON numbers never depend on it.
+inline void appendInt(std::string &Out, long long V) {
+  char Buf[24];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
+  Out.append(Buf, End);
 }
 
 /// Formats a signed integer as a compact string.
 inline std::string itostr(long long V) {
-  std::ostringstream OS;
-  OS << V;
-  return OS.str();
+  std::string R;
+  appendInt(R, V);
+  return R;
 }
 
 } // namespace gnt

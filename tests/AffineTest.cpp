@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 using namespace gnt;
@@ -43,6 +44,44 @@ TEST(Affine, SymbolsAndArithmetic) {
   AffineExpr Neg = M.negate();
   EXPECT_EQ(Neg.coeffOf("i"), -3);
   EXPECT_EQ(Neg.toString(), "-3*i");
+
+  EXPECT_EQ(I.negate().toString(), "-i");
+  EXPECT_EQ((N - I).toString(), "-i+n");
+  EXPECT_EQ((I * AffineExpr::constant(2) - AffineExpr::constant(1)).toString(),
+            "2*i-1");
+  EXPECT_EQ((N - AffineExpr::constant(5)).toString(), "n-5");
+  AffineExpr Zero = I - I;
+  EXPECT_TRUE(Zero.isConstant());
+  EXPECT_TRUE(Zero.getTerms().empty());
+  EXPECT_EQ(Zero.toString(), "0");
+}
+
+TEST(Affine, OverflowIsNonAffine) {
+  const long long Max = std::numeric_limits<long long>::max();
+  const long long Min = std::numeric_limits<long long>::min();
+  AffineExpr I = AffineExpr::symbol("i");
+  AffineExpr Big = AffineExpr::constant(4000000000LL);
+  AffineExpr MaxC = AffineExpr::constant(Max);
+  // x(4000000000 * 4000000000 * i) and x(MAX + i + MAX).
+  EXPECT_FALSE((Big * Big * I).isAffine());
+  EXPECT_FALSE((MaxC + I + MaxC).isAffine());
+  EXPECT_FALSE((AffineExpr::constant(Min) - I - AffineExpr::constant(1))
+                   .isAffine());
+  EXPECT_FALSE((AffineExpr::constant(Min) * I).negate().isAffine());
+  EXPECT_FALSE(AffineExpr::constant(Min).negate().isAffine());
+  EXPECT_FALSE((I * MaxC).substitute("i", AffineExpr::constant(2)).isAffine());
+  EXPECT_FALSE(AffineExpr::constant(Max).differenceFrom(
+                   AffineExpr::constant(-1)).has_value());
+  // Results that fit stay exact, and LLONG_MIN renders its magnitude.
+  AffineExpr MinI = AffineExpr::constant(Min) * I;
+  EXPECT_EQ(MinI.coeffOf("i"), Min);
+  EXPECT_EQ(MinI.toString(), "-9223372036854775808*i");
+  EXPECT_EQ((AffineExpr::symbol("a") + MinI).toString(),
+            "a-9223372036854775808*i");
+  EXPECT_EQ((I + AffineExpr::constant(Min)).toString(),
+            "i-9223372036854775808");
+  EXPECT_EQ(AffineExpr::constant(Min).differenceFrom(AffineExpr::constant(0)),
+            Min);
 }
 
 TEST(Affine, NonAffineProducts) {
@@ -165,6 +204,9 @@ TEST(Section, Printing) {
   Section Str(AffineExpr::constant(1), N, 2);
   EXPECT_EQ(Str.toString(), "(1:n:2)");
   EXPECT_EQ(Section::unknown().toString(), "(?)");
+  // A one-element section prints no stride.
+  Section One(AffineExpr::constant(2), AffineExpr::constant(2), 2);
+  EXPECT_EQ(One.toString(), "(2)");
 }
 
 TEST(Section, EmptyAndOverlap) {

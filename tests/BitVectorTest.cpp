@@ -10,6 +10,7 @@
 
 #include <random>
 #include <set>
+#include <vector>
 
 using namespace gnt;
 
@@ -258,4 +259,89 @@ TEST(BitVector, SliceWords) {
   BitVector T = V.sliceWords(3, 8);
   for (unsigned I = 0; I != 8; ++I)
     EXPECT_EQ(T.test(I), V.test(192 + I)) << "bit " << I;
+}
+
+TEST(BitVector, InlineHeapAndBorrowedStorage) {
+  static_assert(sizeof(BitVector) <= 40, "rows must stay 40 bytes");
+  // 192 bits fill the inline words exactly; 193 bits need a heap block.
+  for (unsigned Size : {192u, 193u}) {
+    SCOPED_TRACE(Size);
+    BitVector V(Size);
+    for (unsigned I = 0; I < Size; I += 5)
+      V.set(I);
+    V.set(Size - 1);
+    const unsigned Count = V.count();
+
+    // Copies are deep.
+    BitVector C = V;
+    EXPECT_EQ(C, V);
+    C.reset(0);
+    EXPECT_TRUE(V.test(0));
+
+    // A move leaves the source empty and reusable.
+    BitVector M = std::move(C);
+    EXPECT_EQ(M.size(), Size);
+    EXPECT_FALSE(M.test(0));
+    EXPECT_EQ(C.size(), 0u);
+    EXPECT_TRUE(C.none());
+    C.resize(70, true);
+    EXPECT_EQ(C.count(), 70u);
+    C = std::move(M);
+    EXPECT_EQ(C.size(), Size);
+    EXPECT_EQ(C.count(), Count - 1);
+
+    // Copy-assigning onto a borrowed vector detaches it without writing
+    // the borrowed row.
+    std::vector<BitVector::Word> Row(V.wordCount(), 0);
+    BitVector B = BitVector::borrowWords(Row.data(), Size);
+    B.set(1);
+    EXPECT_EQ(Row[0], BitVector::Word(2));
+    B = V;
+    EXPECT_EQ(B, V);
+    B.set(2);
+    EXPECT_EQ(Row[0], BitVector::Word(2));
+    for (unsigned W = 1; W != Row.size(); ++W)
+      EXPECT_EQ(Row[W], 0u);
+
+    // A moved borrowed vector keeps pointing at the row.
+    BitVector B2 = BitVector::borrowWords(Row.data(), Size);
+    BitVector B3 = std::move(B2);
+    B3.set(3);
+    EXPECT_EQ(Row[0], BitVector::Word(2 | 8));
+
+    // Self-assignment keeps the contents.
+    BitVector &Alias = V;
+    V = Alias;
+    EXPECT_EQ(V.count(), Count);
+  }
+
+  // Resizing across the inline boundary keeps the bits and clears the
+  // tail beyond the size.
+  BitVector R(192);
+  R.set(0);
+  R.set(191);
+  R.resize(193, true);
+  EXPECT_TRUE(R.test(192));
+  EXPECT_EQ(R.count(), 3u);
+  R.resize(192);
+  EXPECT_EQ(R.count(), 2u);
+  R.resize(193);
+  EXPECT_FALSE(R.test(192));
+  EXPECT_EQ(R.count(), 2u);
+  R.resize(64);
+  R.set();
+  EXPECT_EQ(R.count(), 64u);
+  R.resize(300);
+  EXPECT_EQ(R.count(), 64u);
+  EXPECT_TRUE(R.test(63));
+  EXPECT_FALSE(R.test(64));
+
+  // Resizing a borrowed vector materializes an owned copy.
+  std::vector<BitVector::Word> Row(4, ~BitVector::Word(0));
+  BitVector B = BitVector::borrowWords(Row.data(), 256);
+  B.resize(193);
+  EXPECT_EQ(B.count(), 193u);
+  B.reset();
+  EXPECT_EQ(Row[0], ~BitVector::Word(0));
+  EXPECT_EQ(Row[3], ~BitVector::Word(0));
 }

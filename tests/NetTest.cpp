@@ -358,9 +358,10 @@ TEST(NetDrainTest, DrainingShedsNewWorkAndFinishesInFlight) {
   ASSERT_TRUE(C.dial(Server->port()));
 
   // Park a genuinely slow job so the drain stays open, then submit
-  // more work mid-drain.
+  // more work mid-drain. The job must outlast the 50 ms pause: 12,000
+  // statements compile in about 160 ms in an optimized build.
   ASSERT_TRUE(
-      C.send(requestLine("slow", seededSource(0, 1, 4000)) + "\n"));
+      C.send(requestLine("slow", seededSource(0, 1, 12000)) + "\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Server->requestDrain();
   ASSERT_TRUE(C.send(requestLine("late", seededSource(1, 2, 8)) + "\n"));

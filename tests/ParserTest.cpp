@@ -161,6 +161,19 @@ TEST(Parser, UnexpectedCharacter) {
   EXPECT_FALSE(R.success());
 }
 
+TEST(Parser, IntegerLiteralOutOfRange) {
+  // LLONG_MAX itself still lexes; one more does not.
+  ParseResult Max = parseProgram("v = 9223372036854775807\n");
+  ASSERT_TRUE(Max.success());
+  ParseResult R = parseProgram("distribute x\n"
+                               "v = 1\n"
+                               "x(1) = 12345678901234567890123 + 1\n");
+  EXPECT_FALSE(R.success());
+  ASSERT_EQ(R.Errors.size(), 1u);
+  EXPECT_EQ(R.Errors[0], "line 3: integer literal out of range");
+  EXPECT_FALSE(parseProgram("v = 9223372036854775808\n").success());
+}
+
 TEST(Parser, LhsSubscriptDeclaresArray) {
   // q is undeclared but subscripted on an LHS, so q(i) elsewhere is an
   // array reference, not a call.

@@ -75,6 +75,22 @@ enddo
   CommPlan Plan = planFor(P);
   std::string Out = Plan.annotate(P.Prog);
   EXPECT_NE(Out.find("Write_Send[*]{x(5)}"), std::string::npos);
+
+  // The self-reference must be the same expression as the target:
+  // x(k + 1) and x(1 + k) print differently, so the second statement
+  // is a plain store.
+  Pipeline Q = Pipeline::fromSource(R"(
+distribute x, y
+do k = 1, n
+  x(k) = x(k) + 1
+  y(k + 1) = y(1 + k) + 1
+enddo
+)");
+  Out = planFor(Q).annotate(Q.Prog);
+  SCOPED_TRACE(Out);
+  EXPECT_NE(Out.find("Write_Send[+]{x(1:n)}"), std::string::npos);
+  EXPECT_NE(Out.find("Write_Send{y(2:n+1)}"), std::string::npos);
+  EXPECT_EQ(Out.find("Write_Send[+]{y("), std::string::npos);
 }
 
 TEST(Reduction, ReadAfterReductionRequiresCommunication) {

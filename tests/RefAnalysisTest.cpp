@@ -137,6 +137,26 @@ u(2) = x(m)
   EXPECT_FALSE(R.Items.item(0).Volatile);
 }
 
+TEST(RefAnalysis, DegenerateStrideSectionSharesItem) {
+  // x(2*i) over i = 1..1 is the one element x(2), whose stride does not
+  // show in its key: it and a plain x(2) are one item.
+  Pipeline P = Pipeline::fromSource(R"(
+distribute x
+array y
+do i = 1, 1
+  y(i) = x(2*i)
+enddo
+y(3) = x(2)
+)");
+  RefAnalysisResult R = analyze(P);
+  ASSERT_EQ(R.Items.size(), 1u);
+  EXPECT_EQ(R.Items.item(0).Key, "x(2)");
+  CommPlan Plan = generateComm(P.Prog, P.G, *P.Ifg);
+  auto Counts = Plan.staticCounts();
+  EXPECT_EQ(Counts[CommOpKind::ReadSend], 1u);
+  EXPECT_EQ(Counts[CommOpKind::ReadRecv], 1u);
+}
+
 TEST(RefAnalysis, StealFromOverlappingDefinition) {
   Pipeline P = Pipeline::fromSource(R"(
 distribute x
