@@ -44,8 +44,8 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
 #include <utility>
+#include <vector>
 
 using namespace gnt;
 
@@ -185,6 +185,14 @@ private:
     if (Ifg.parent(Root) != InvalidNode)
       err(Root, "ROOT has a parent interval");
 
+    // One pass over every CHILDREN list marks the nodes their parent's
+    // list names, so the check below is O(N) however wide an interval.
+    std::vector<char> Listed(N, 0);
+    for (NodeId H = 0; H != N; ++H)
+      for (NodeId C : Ifg.children(H))
+        if (C < N && Ifg.parent(C) == H)
+          Listed[C] = 1;
+
     for (NodeId Node = 0; Node != N; ++Node) {
       if (Node == Root)
         continue;
@@ -197,10 +205,7 @@ private:
         err(Node, "parent node " + itostr(H) + " is not a header");
       if (Ifg.level(Node) != Ifg.level(H) + 1)
         err(Node, "LEVEL is not LEVEL(parent) + 1");
-      bool Listed = false;
-      for (NodeId C : Ifg.children(H))
-        Listed |= C == Node;
-      if (!Listed)
+      if (!Listed[Node])
         err(Node, "missing from CHILDREN of its header " + itostr(H));
     }
   }
@@ -304,7 +309,8 @@ private:
     // Expected SYNTHETIC edges: each JUMP edge projects onto the header
     // of every interval it leaves (forward: headers above the source up
     // to the target's interval; reversed: the mirrored walk).
-    std::set<std::pair<NodeId, NodeId>> Expected;
+    using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+    EdgeList Expected;
     for (NodeId Node = 0; Node != N; ++Node)
       for (const IfgEdge &E : Ifg.succs(Node)) {
         if (E.Type != EdgeType::Jump)
@@ -314,9 +320,9 @@ private:
         NodeId H = Ifg.parent(Inner);
         while (H != InvalidNode && H != Ifg.parent(Outer)) {
           if (Ifg.isReversed())
-            Expected.insert({Outer, H});
+            Expected.emplace_back(Outer, H);
           else
-            Expected.insert({H, Outer});
+            Expected.emplace_back(H, Outer);
           H = Ifg.parent(H);
         }
         if (H == InvalidNode)
@@ -324,18 +330,27 @@ private:
                          " whose target interval does not enclose the source");
       }
 
-    std::set<std::pair<NodeId, NodeId>> Present;
+    EdgeList Present;
     for (NodeId Node = 0; Node != N; ++Node)
       for (const IfgEdge &E : Ifg.succs(Node))
         if (E.Type == EdgeType::Synthetic)
-          Present.insert({E.Src, E.Dst});
+          Present.emplace_back(E.Src, E.Dst);
 
+    auto SortUnique = [](EdgeList &L) {
+      std::sort(L.begin(), L.end());
+      L.erase(std::unique(L.begin(), L.end()), L.end());
+    };
+    SortUnique(Expected);
+    SortUnique(Present);
+    auto Contains = [](const EdgeList &L, const std::pair<NodeId, NodeId> &S) {
+      return std::binary_search(L.begin(), L.end(), S);
+    };
     for (const auto &S : Present)
-      if (!Expected.count(S))
+      if (!Contains(Expected, S))
         err(S.first, "SYNTHETIC edge to node " + itostr(S.second) +
                          " matches no JUMP edge projection");
     for (const auto &S : Expected)
-      if (!Present.count(S))
+      if (!Contains(Present, S))
         err(S.first, "missing SYNTHETIC edge to node " + itostr(S.second) +
                          " for a JUMP leaving this interval");
   }

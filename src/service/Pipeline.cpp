@@ -137,6 +137,30 @@ void auditInto(PipelineResult &R, const GntRun &Run,
       std::max(R.Audit.Engine.WorklistPeak, A.Stats.Engine.WorklistPeak);
 }
 
+/// The stage cache's copy of a solve: everything a hit serves (refs,
+/// problems and anchored operations) without the solver runs, which
+/// only audit and verify read.
+std::shared_ptr<const CommPlan> withoutRuns(const CommPlan &P) {
+  auto C = std::make_shared<CommPlan>();
+  C->Opts = P.Opts;
+  C->Refs = P.Refs;
+  C->ElementMessages = P.ElementMessages;
+  C->ReadProblem = P.ReadProblem;
+  C->WriteProblem = P.WriteProblem;
+  C->Anchored = P.Anchored;
+  return C;
+}
+
+std::shared_ptr<const ExprPreResult> withoutRuns(const ExprPreResult &P) {
+  auto C = std::make_shared<ExprPreResult>();
+  C->Exprs = P.Exprs;
+  C->Insertions = P.Insertions;
+  C->Redundant = P.Redundant;
+  C->Occurrences = P.Occurrences;
+  C->Problem = P.Problem;
+  return C;
+}
+
 /// Component-wise Now - Then for the monotone incremental counters: the
 /// contribution of one solve stage to a slot's accumulating stats.
 GntIncrementalStats statsDelta(const GntIncrementalStats &Now,
@@ -231,13 +255,17 @@ PipelineResult Pipeline::compile(const std::string &Source,
       Cache->insertCfg(StageCache::cfgKey(PA->AstDigest), std::move(A));
     }
   } else {
+    // The raw graph is copied only where it is read: as the result of a
+    // CFG-only run, or as the input of an interval build below.
     PA = CA->Parse;
     R.Prog = PA->Prog;
-    R.G = CA->RawG;
     R.Reached = PipelineStage::Cfg;
   }
-  if (Opts.StopAfter == PipelineStop::AfterCfg)
+  if (Opts.StopAfter == PipelineStop::AfterCfg) {
+    if (CA)
+      R.G = CA->RawG;
     return R;
+  }
 
   // Interval analysis. build() normalizes R.G in place; the artifact
   // keeps the normalized graph so a hit restores both.
@@ -245,6 +273,8 @@ PipelineResult Pipeline::compile(const std::string &Source,
   if (Cache)
     IA = Cache->lookupInterval(StageCache::intervalKey(PA->AstDigest));
   if (!IA) {
+    if (CA)
+      R.G = CA->RawG;
     StageTimer T(R, PipelineStage::Interval);
     auto IfgRes = IntervalFlowGraph::build(R.G);
     if (!IfgRes.success()) {
@@ -272,21 +302,26 @@ PipelineResult Pipeline::compile(const std::string &Source,
     return R;
 
   // Solve: PRE, a baseline, or GIVE-N-TAKE communication. Keyed by the
-  // AST digest plus the option subset the solve consumes.
+  // AST digest plus the option subset the solve consumes. Cached solves
+  // carry no solver runs, so a request that re-checks them (audit,
+  // verify) does not probe the stage and always solves fresh.
   std::string SolveOpts;
   std::uint64_t Ksolve = 0;
   std::shared_ptr<const SolveArtifact> SA;
   if (Cache) {
     SolveOpts = StageCache::solveOptionsKey(Opts);
     Ksolve = StageCache::solveKey(PA->AstDigest, SolveOpts);
-    SA = Cache->lookupSolve(Ksolve);
+    if (!Opts.Audit && !Opts.Verify)
+      SA = Cache->lookupSolve(Ksolve);
   }
   if (SA) {
-    IA = SA->Interval;
-    PA = IA->Parse;
-    R.Prog = PA->Prog;
-    R.G = IA->NormG;
-    R.Ifg = IA->Ifg;
+    if (SA->Interval != IA) {
+      IA = SA->Interval;
+      PA = IA->Parse;
+      R.Prog = PA->Prog;
+      R.G = IA->NormG;
+      R.Ifg = IA->Ifg;
+    }
     R.Plan = SA->Plan;
     R.Pre = SA->Pre;
     R.Reached = PipelineStage::Solve;
@@ -353,8 +388,10 @@ PipelineResult Pipeline::compile(const std::string &Source,
     if (Cache) {
       auto A = std::make_shared<SolveArtifact>();
       A->Interval = IA;
-      A->Plan = R.Plan;
-      A->Pre = R.Pre;
+      if (R.Plan)
+        A->Plan = withoutRuns(*R.Plan);
+      if (R.Pre)
+        A->Pre = withoutRuns(*R.Pre);
       Cache->insertSolve(Ksolve, std::move(A));
     }
   }

@@ -159,10 +159,15 @@ struct PipelineResult {
 
   /// Comm mode artifacts (GIVE-N-TAKE or baseline plan). Shared for
   /// the same reason as Prog: a stage-cached solve is adopted by many
-  /// results, and a CommPlan owns whole dataflow solutions.
+  /// results. A plan adopted from the stage cache carries no solver
+  /// runs (ReadRun and WriteRun are empty; service/StageCache.h): it
+  /// serves annotation, placement counts and the simulator, not
+  /// dataflow dumps. A fresh solve keeps its runs, and a request with
+  /// Audit or Verify always solves fresh.
   std::shared_ptr<const CommPlan> Plan;
 
-  /// PRE mode artifacts (shared, like Plan).
+  /// PRE mode artifacts (shared, like Plan; adopted from the stage
+  /// cache, its Run is empty).
   std::shared_ptr<const ExprPreResult> Pre;
 
   /// Rendered annotated program (when Opts.Annotate and the solve
@@ -211,10 +216,12 @@ public:
 
   /// Same, compiling through a content-addressed stage cache: each
   /// stage is looked up by a key over exactly the inputs it consumes
-  /// (see service/StageCache.h) and only missing stages run. With
-  /// Opts.Incremental the solve additionally reuses the cache's
-  /// per-option-set incremental memo. Byte-identical to the uncached
-  /// compile by contract. \p Cache may be null (plain compile).
+  /// (see service/StageCache.h) and only missing stages run; Audit and
+  /// Verify skip the solve-stage lookup, because cached solves keep no
+  /// runs to re-check. With Opts.Incremental the solve additionally
+  /// reuses the cache's per-option-set incremental memo. Byte-identical
+  /// to the uncached compile by contract. \p Cache may be null (plain
+  /// compile).
   PipelineResult compile(const std::string &Source, StageCache *Cache) const;
 
 private:

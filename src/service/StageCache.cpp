@@ -37,6 +37,7 @@ StageCache::StageCache(Config C, DiskCache *Disk) : Cfg_(C), Disk(Disk) {
   Intervals.setCapacity(Cfg_.CapacityPerStage);
   Solves.setCapacity(Cfg_.CapacityPerStage);
   Annotations.setCapacity(Cfg_.CapacityPerStage);
+  Slots.setCapacity(MaxSolveSlots);
 }
 
 void StageCache::noteProbe(CacheStage S, bool Hit) {
@@ -103,17 +104,10 @@ void StageCache::insertAnnotate(std::uint64_t Key,
 
 std::shared_ptr<SolveSlot>
 StageCache::solveSlot(const std::string &SolveOptsKey) {
-  std::shared_ptr<SolveSlot> Slot;
-  {
-    std::lock_guard<std::mutex> L(SlotsMutex);
-    auto &Entry = Slots[SolveOptsKey];
-    if (!Entry)
-      Entry = std::make_shared<SolveSlot>();
-    Slot = Entry;
-  }
+  std::shared_ptr<SolveSlot> Slot = Slots.lookupOrCreate(SolveOptsKey);
   if (Disk) {
     // First user of the slot restores the previous process's memos.
-    // Done under the slot mutex, not SlotsMutex: deserialization can be
+    // Done under the slot mutex, not the table's: deserialization can be
     // large and must not block unrelated slots.
     std::lock_guard<std::mutex> L(Slot->M);
     if (!Slot->DiskLoadAttempted) {
@@ -133,6 +127,8 @@ StageCache::solveSlot(const std::string &SolveOptsKey) {
   }
   return Slot;
 }
+
+std::size_t StageCache::solveSlots() const { return Slots.size(); }
 
 void StageCache::persistSlot(SolveSlot &Slot,
                              const std::string &SolveOptsKey) {

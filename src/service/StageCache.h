@@ -22,8 +22,16 @@
 /// the canonical AST print is identical, so everything from the CFG on
 /// is a hit. Option knobs that cannot change the solve (annotate,
 /// audit, verify, werror, analyses — and the strategy knobs) are
-/// excluded from the solve key, so e.g. an audited and an unaudited
-/// request share one solve.
+/// excluded from the solve key.
+///
+/// The solve stage caches plans without their solver runs: a cached
+/// CommPlan keeps its refs, problems and anchored operations but no
+/// ReadRun/WriteRun, a cached ExprPreResult its insertions but an empty
+/// Run. A hit serves only what annotation, the response and the
+/// simulator read; the runs (20 x nodes rows per problem over the
+/// oriented graph and problem) were most of an entry's bytes. Audit and
+/// verify re-check the runs, so a request with either does not probe
+/// the solve stage: it solves fresh, and its own result keeps the runs.
 ///
 /// Artifacts nest by shared_ptr: a CfgArtifact keeps its ParseArtifact
 /// alive, a SolveArtifact its IntervalArtifact. This is load-bearing,
@@ -42,7 +50,10 @@
 /// write-through persisted into the server's DiskCache so a restarted
 /// gntd re-solves incrementally against the previous process's work; a
 /// truncated or corrupted persisted memo deserializes to an empty memo
-/// and silently falls back to a full solve.
+/// and silently falls back to a full solve. At most MaxSolveSlots slots
+/// stay resident, least recently used first out: the options key
+/// carries free-form profile and baseline text, so each distinct string
+/// a client sends would otherwise keep a whole memo arena.
 ///
 /// All methods are thread-safe. Per-stage hit/miss counters and the
 /// aggregated incremental solver statistics are exposed through
@@ -112,11 +123,10 @@ struct IntervalArtifact {
   IntervalFlowGraph Ifg;
 };
 
-/// Output of the solve stage: exactly one of Plan/Pre is set (shared
-/// with every PipelineResult that adopted this artifact — plans carry
-/// whole dataflow solutions, copying them would cost as much as
-/// re-solving). Anchors point into Interval->Parse->Prog, hence the
-/// chain reference.
+/// Output of the solve stage: exactly one of Plan/Pre is set, without
+/// solver runs (see the file comment), and shared with every
+/// PipelineResult that adopts this artifact. Anchors point into
+/// Interval->Parse->Prog, hence the chain reference.
 struct SolveArtifact {
   std::shared_ptr<const IntervalArtifact> Interval;
   std::shared_ptr<const CommPlan> Plan;
@@ -155,6 +165,9 @@ public:
     std::size_t CapacityPerStage = 256;
   };
 
+  /// Incremental solve slots kept resident (one per solve-option set).
+  static constexpr std::size_t MaxSolveSlots = 16;
+
   /// \p Disk, when non-null, persists incremental solve memos across
   /// process restarts (borrowed; must outlive the cache).
   StageCache();
@@ -176,8 +189,13 @@ public:
   /// Returns (creating on first use) the incremental-solve slot for one
   /// solve-option set. On creation, persisted memos are loaded from the
   /// disk cache when one is attached; corrupt payloads load as empty
-  /// memos (full-solve fallback).
+  /// memos (full-solve fallback). Creating a slot beyond MaxSolveSlots
+  /// drops the least recently used one; a solve holding it keeps it
+  /// alive through the returned pointer.
   std::shared_ptr<SolveSlot> solveSlot(const std::string &SolveOptsKey);
+
+  /// Number of resident incremental solve slots.
+  std::size_t solveSlots() const;
 
   /// Write-through persists \p Slot's valid memos under \p SolveOptsKey.
   /// Caller must hold Slot.M. No-op without a disk cache.
@@ -218,57 +236,56 @@ public:
                                    const char *MemoSlot);
 
 private:
-  template <typename T> class Lru {
+  /// A mutex-protected LRU of shared values; T carries its own const.
+  template <typename T, typename K = std::uint64_t> class Lru {
   public:
     void setCapacity(std::size_t C) { Cap = C < 1 ? 1 : C; }
-    std::shared_ptr<const T> lookup(std::uint64_t Key);
-    void insert(std::uint64_t Key, std::shared_ptr<const T> Value);
+    std::shared_ptr<T> lookup(const K &Key);
+    void insert(const K &Key, std::shared_ptr<T> Value);
+    /// The value under \p Key, inserting a default-constructed one
+    /// first when there is none (one step under the lock).
+    std::shared_ptr<T> lookupOrCreate(const K &Key);
     std::size_t size() const;
 
   private:
-    using Entry = std::pair<std::uint64_t, std::shared_ptr<const T>>;
+    using Entry = std::pair<K, std::shared_ptr<T>>;
+    /// Caller holds M. Marks the entry most recent.
+    std::shared_ptr<T> *findLocked(const K &Key);
+    /// Caller holds M and has checked that \p Key is absent.
+    void addLocked(const K &Key, std::shared_ptr<T> Value);
+
     std::size_t Cap = 256;
     mutable std::mutex M;
     std::list<Entry> Order; // Most recent first.
-    std::unordered_map<std::uint64_t, typename std::list<Entry>::iterator>
-        Index;
+    std::unordered_map<K, typename std::list<Entry>::iterator> Index;
   };
 
   void noteProbe(CacheStage S, bool Hit);
 
   Config Cfg_;
   DiskCache *Disk;
-  Lru<ParseArtifact> Parses;
-  Lru<CfgArtifact> Cfgs;
-  Lru<IntervalArtifact> Intervals;
-  Lru<SolveArtifact> Solves;
-  Lru<std::string> Annotations;
-  mutable std::mutex SlotsMutex;
-  std::unordered_map<std::string, std::shared_ptr<SolveSlot>> Slots;
+  Lru<const ParseArtifact> Parses;
+  Lru<const CfgArtifact> Cfgs;
+  Lru<const IntervalArtifact> Intervals;
+  Lru<const SolveArtifact> Solves;
+  Lru<const std::string> Annotations;
+  Lru<SolveSlot, std::string> Slots;
   mutable std::mutex StatsMutex;
   StageCacheStats Stats;
 };
 
-template <typename T>
-std::shared_ptr<const T> StageCache::Lru<T>::lookup(std::uint64_t Key) {
-  std::lock_guard<std::mutex> L(M);
+template <typename T, typename K>
+std::shared_ptr<T> *StageCache::Lru<T, K>::findLocked(const K &Key) {
   auto It = Index.find(Key);
   if (It == Index.end())
     return nullptr;
   Order.splice(Order.begin(), Order, It->second);
-  return It->second->second;
+  return &It->second->second;
 }
 
-template <typename T>
-void StageCache::Lru<T>::insert(std::uint64_t Key,
-                                std::shared_ptr<const T> Value) {
-  std::lock_guard<std::mutex> L(M);
-  auto It = Index.find(Key);
-  if (It != Index.end()) {
-    It->second->second = std::move(Value);
-    Order.splice(Order.begin(), Order, It->second);
-    return;
-  }
+template <typename T, typename K>
+void StageCache::Lru<T, K>::addLocked(const K &Key,
+                                      std::shared_ptr<T> Value) {
   Order.emplace_front(Key, std::move(Value));
   Index.emplace(Key, Order.begin());
   if (Index.size() > Cap) {
@@ -277,7 +294,34 @@ void StageCache::Lru<T>::insert(std::uint64_t Key,
   }
 }
 
-template <typename T> std::size_t StageCache::Lru<T>::size() const {
+template <typename T, typename K>
+std::shared_ptr<T> StageCache::Lru<T, K>::lookup(const K &Key) {
+  std::lock_guard<std::mutex> L(M);
+  std::shared_ptr<T> *V = findLocked(Key);
+  return V ? *V : nullptr;
+}
+
+template <typename T, typename K>
+void StageCache::Lru<T, K>::insert(const K &Key, std::shared_ptr<T> Value) {
+  std::lock_guard<std::mutex> L(M);
+  if (std::shared_ptr<T> *V = findLocked(Key))
+    *V = std::move(Value);
+  else
+    addLocked(Key, std::move(Value));
+}
+
+template <typename T, typename K>
+std::shared_ptr<T> StageCache::Lru<T, K>::lookupOrCreate(const K &Key) {
+  std::lock_guard<std::mutex> L(M);
+  if (std::shared_ptr<T> *V = findLocked(Key))
+    return *V;
+  auto V = std::make_shared<T>();
+  addLocked(Key, V);
+  return V;
+}
+
+template <typename T, typename K>
+std::size_t StageCache::Lru<T, K>::size() const {
   std::lock_guard<std::mutex> L(M);
   return Index.size();
 }

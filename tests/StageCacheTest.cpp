@@ -8,15 +8,19 @@
 // metrics keys), content addressing (whitespace-only edits converge at
 // the cfg stage, semantic edits do not; the solve-options key contains
 // exactly the knobs the solve consumes), LRU eviction under pressure,
-// per-stage hit/miss accounting through Pipeline::compile, interval-
-// level incremental re-solves touching a strict subset of nodes, and
-// the defensive half: persisted solve memos survive a restart, while
-// truncated or corrupted persisted memos silently fall back to a full
-// solve — mirroring the DiskCache corruption battery one layer up.
+// per-stage hit/miss accounting through Pipeline::compile, solve hits
+// without solver runs (audit and verify solve fresh), interval-level
+// incremental re-solves touching a strict subset of nodes, a bounded
+// table of incremental solve slots, and the defensive half: persisted
+// solve memos survive a restart, while truncated or corrupted persisted
+// memos silently fall back to a full solve — mirroring the DiskCache
+// corruption battery one layer up.
 //
 //===----------------------------------------------------------------------===//
 
+#include "dataflow/Dump.h"
 #include "frontend/Parser.h"
+#include "service/BatchServer.h"
 #include "service/DiskCache.h"
 #include "service/Pipeline.h"
 #include "service/StageCache.h"
@@ -216,6 +220,58 @@ TEST(StageCacheTest, PipelineStagesHitPerContentAddress) {
   EXPECT_EQ(AfterWs.misses(CacheStage::Solve), 1u);
 }
 
+namespace {
+
+/// The `gntc --dump-vars` text of both solver runs of \p R's plan.
+std::string dumpRuns(const PipelineResult &R) {
+  std::string S;
+  for (const std::optional<GntRun> *Run :
+       {&R.Plan->ReadRun, &R.Plan->WriteRun})
+    S += *Run ? dumpGntRun(**Run, R.G) : "(no run)\n";
+  return S;
+}
+
+} // namespace
+
+/// A solve-stage hit adopts a plan without solver runs. Audited and
+/// verified requests on the cached source do not probe the solve
+/// stage: they solve fresh, keep their runs and match a cold compile.
+TEST(StageCacheTest, SolveHitsCarryNoRunsAndRecheckingRequestsSolveFresh) {
+  StageCache Cache;
+  PipelineOptions Opts;
+  Opts.Annotate = true;
+  PipelineResult First = Pipeline(Opts).compile(kBase, &Cache);
+  ASSERT_TRUE(First.ok()) << First.Diags.renderText();
+  EXPECT_TRUE(First.Plan->ReadRun && First.Plan->WriteRun);
+
+  PipelineResult Hit = Pipeline(Opts).compile(kBaseWhitespace, &Cache);
+  ASSERT_EQ(Cache.statsSnapshot().hits(CacheStage::Solve), 1u);
+  EXPECT_FALSE(Hit.Plan->ReadRun);
+  EXPECT_FALSE(Hit.Plan->WriteRun);
+  EXPECT_EQ(renderResultPayload(Hit), renderResultPayload(First));
+
+  for (bool Audit : {true, false}) {
+    PipelineOptions Check = Opts;
+    Check.Audit = Audit;
+    Check.Verify = !Audit;
+    StageCacheStats Before = Cache.statsSnapshot();
+    PipelineResult R = Pipeline(Check).compile(kBaseWhitespace, &Cache);
+    StageCacheStats After = Cache.statsSnapshot();
+    PipelineResult Cold = compilePipeline(kBaseWhitespace, Check);
+    ASSERT_TRUE(R.ok()) << R.Diags.renderText();
+    EXPECT_EQ(After.hits(CacheStage::Solve), Before.hits(CacheStage::Solve))
+        << "audit=" << Audit;
+    EXPECT_EQ(After.misses(CacheStage::Solve),
+              Before.misses(CacheStage::Solve))
+        << "audit=" << Audit;
+    ASSERT_TRUE(R.Plan->ReadRun && R.Plan->WriteRun) << "audit=" << Audit;
+    EXPECT_EQ(renderResultPayload(R), renderResultPayload(Cold))
+        << "audit=" << Audit;
+    EXPECT_EQ(R.Audit.EngineSolves, Cold.Audit.EngineSolves);
+    EXPECT_EQ(dumpRuns(R), dumpRuns(Cold)) << "audit=" << Audit;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Interval-level incrementality
 //===----------------------------------------------------------------------===//
@@ -247,6 +303,25 @@ TEST(StageCacheTest, SingleLoopEditResolvesStrictSubset) {
   }());
   EXPECT_EQ(resultSignature(Edited), resultSignature(Cold));
   EXPECT_EQ(Edited.Annotated, Cold.Annotated);
+}
+
+/// The slot table is bounded. The options key carries the free-form
+/// profile, which a balanced solve ignores, so a stream of distinct
+/// profiles would otherwise keep one memo arena per request.
+TEST(StageCacheTest, DistinctProfilesKeepAtMostMaxSolveSlots) {
+  StageCache Cache;
+  for (unsigned I = 0; I != 2000; ++I) {
+    PipelineOptions Opts = incrementalOptions();
+    Opts.Profile = "gnt-profile-v1\n# request " + std::to_string(I) + "\n";
+    const char *Source = I % 2 ? kBaseMovedUse : kBase;
+    PipelineResult R = Pipeline(Opts).compile(Source, &Cache);
+    ASSERT_LE(Cache.solveSlots(), StageCache::MaxSolveSlots) << I;
+    Opts.Incremental = false;
+    ASSERT_EQ(renderResultPayload(R),
+              renderResultPayload(compilePipeline(Source, Opts)))
+        << I;
+  }
+  EXPECT_EQ(Cache.solveSlots(), StageCache::MaxSolveSlots);
 }
 
 //===----------------------------------------------------------------------===//
